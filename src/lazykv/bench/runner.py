@@ -189,12 +189,11 @@ class ProtocolApi:
         return self.engine.store.values_dict()
 
     def restore_snapshot(self, path: str) -> None:
-        loaded = Store.load_snapshot(path)
-        for key, value, version in loaded.items():
-            if self._is_cluster():
-                self.engine.store_for(key).restore_record(key, value, version)
-            else:
-                self.engine.store.restore_record(key, value, version)
+        if self._is_cluster():
+            Store.load_snapshot(path, into=self.engine.store_for)
+        else:
+            store = self.engine.store
+            Store.load_snapshot(path, into=lambda _key: store)
 
     def write_snapshot(self, path: str) -> None:
         if not self._is_cluster():
@@ -206,13 +205,27 @@ class ProtocolApi:
                 merged.restore_record(key, value, version)
         merged.save_snapshot(path)
 
+    def _lock_tables(self) -> list:
+        """The latch table (optimistic) or lock manager (locking) of each
+        partition, or of the single engine."""
+        if self._is_cluster():
+            return [p._locks for p in self.engine.partitions]
+        return [self.engine.latches if self.family == "occ"
+                else self.engine.locks]
+
     def dump_lock_state(self, key) -> str:
         if self._is_cluster():
             return "\n".join(
                 "partition %d: %s" % (p.pid, p._locks.dump_key(key))
                 for p in self.engine.partitions)
-        mgr = self.engine.latches if self.family == "occ" else self.engine.locks
-        return mgr.dump_key(key)
+        return self._lock_tables()[0].dump_key(key)
+
+    def dump_queued(self) -> str:
+        """Lock state of every key that some transaction waits for."""
+        keys = sorted({k for t in self._lock_tables() for k in t.queued_keys()})
+        if not keys:
+            return "(no key has a waiter)"
+        return "\n".join(self.dump_lock_state(k) for k in keys)
 
 
 def build_api(cfg: RunConfig) -> ProtocolApi:
@@ -325,8 +338,8 @@ def run(cfg: RunConfig) -> RunReport:
     if any(t.is_alive() for t in threads):
         stuck = [t.name for t in threads if t.is_alive()]
         raise RuntimeError(
-            "clients %s did not finish; hot-key lock state:\n%s"
-            % (", ".join(stuck), api.dump_lock_state("hot")))
+            "clients %s did not finish; lock state of every key with a "
+            "waiter:\n%s" % (", ".join(stuck), api.dump_queued()))
     elapsed = time.monotonic() - t_start
 
     commits = sum(s.commits for s in all_stats)

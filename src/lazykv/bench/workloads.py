@@ -55,9 +55,22 @@ class Workload:
 
     def __init__(self, cfg):
         self.cfg = cfg
+        # values of the checked keys once setup() has run: the base that
+        # check() tallies from, whether it came from the workload's
+        # defaults or from a restored snapshot
+        self.start: Dict[str, Value] = {}
 
     def setup(self, api) -> None:
         raise NotImplementedError
+
+    def _record_start(self, api, keys: List[str]) -> None:
+        values = api.values()
+        for key in keys:
+            v = values[key]
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError("%s is %r after set-up; the %s workload "
+                                 "needs an int there" % (key, v, self.name))
+        self.start = {key: values[key] for key in keys}
 
     def plan(self, rng: random.Random, client: int) -> dict:
         raise NotImplementedError
@@ -82,10 +95,13 @@ def _speculation_guess(attempt: int) -> bool:
 class Hotkey(Workload):
     name = "hotkey"
 
+    def _keys(self) -> List[str]:
+        return [HOT_KEY] + ["c/%d" % c for c in range(self.cfg.clients)]
+
     def setup(self, api) -> None:
-        api.load_default(HOT_KEY, 0)
-        for c in range(self.cfg.clients):
-            api.load_default("c/%d" % c, 0)
+        for key in self._keys():
+            api.load_default(key, 0)
+        self._record_start(api, self._keys())
 
     def plan(self, rng: random.Random, client: int) -> dict:
         hot = rng.randrange(100) < self.cfg.p
@@ -104,13 +120,14 @@ class Hotkey(Workload):
         tallies[plan["key"]] = tallies.get(plan["key"], 0) + 1
 
     def check(self, api, tallies: Dict[str, int]) -> List[str]:
-        # counters started at 0, so each must equal its committed increments
+        # each counter must have moved by exactly its committed increments
         out = []
         values = api.values()
         for key, n in sorted(tallies.items()):
-            if values.get(key) != n:
-                out.append("%s is %r after %d committed increments"
-                           % (key, values.get(key), n))
+            start = self.start[key]
+            if values.get(key) != start + n:
+                out.append("%s is %r after %d committed increments from %r"
+                           % (key, values.get(key), n, start))
         return out
 
 
@@ -128,12 +145,15 @@ class Assert(Workload):
     def _key(self, client: int) -> str:
         return "c/%d" % client if self.private else HOT_KEY
 
-    def setup(self, api) -> None:
+    def _keys(self) -> List[str]:
         if self.private:
-            for c in range(self.cfg.clients):
-                api.load_default("c/%d" % c, self.cfg.init)
-        else:
-            api.load_default(HOT_KEY, self.cfg.init)
+            return ["c/%d" % c for c in range(self.cfg.clients)]
+        return [HOT_KEY]
+
+    def setup(self, api) -> None:
+        for key in self._keys():
+            api.load_default(key, self.cfg.init)
+        self._record_start(api, self._keys())
 
     def plan(self, rng: random.Random, client: int) -> dict:
         return {"key": self._key(client)}
@@ -157,30 +177,39 @@ class Assert(Workload):
             api.write_expr(ctx, key, futexpr.const(n))
 
     def check(self, api, tallies: Dict[str, int]) -> List[str]:
+        # the guard keeps a counter in [0, n]; one restored outside that
+        # range may still hold its start value or be counting down from it
         out = []
         values = api.values()
-        keys = (["c/%d" % c for c in range(self.cfg.clients)]
-                if self.private else [HOT_KEY])
-        for key in keys:
-            v = values.get(key)
-            if not isinstance(v, int) or not (0 <= v <= self.cfg.init):
-                out.append("%s is %r, outside [0, %d]" % (key, v, self.cfg.init))
+        for key in self._keys():
+            v, start = values.get(key), self.start[key]
+            lo, hi = min(0, start), max(self.cfg.init, start)
+            if not isinstance(v, int) or not (lo <= v <= hi):
+                out.append("%s is %r, outside [%d, %d]" % (key, v, lo, hi))
         return out
 
 
 class TpccLite(Workload):
     name = "tpcc-lite"
 
-    def setup(self, api) -> None:
+    def _defaults(self) -> Dict[str, int]:
+        out: Dict[str, int] = {}
         for w in range(1, self.cfg.warehouses + 1):
-            api.load_default("w%d/ytd" % w, 0)
+            out["w%d/ytd" % w] = 0
             for d in range(1, DISTRICTS + 1):
-                api.load_default("w%d/d%d/next_oid" % (w, d), 1)
-                api.load_default("w%d/d%d/ytd" % (w, d), 0)
+                out["w%d/d%d/next_oid" % (w, d)] = 1
+                out["w%d/d%d/ytd" % (w, d)] = 0
             for i in range(ITEMS):
-                api.load_default("w%d/stock/%d" % (w, i), STOCK_INIT)
+                out["w%d/stock/%d" % (w, i)] = STOCK_INIT
             for c in range(CUSTOMERS):
-                api.load_default("w%d/cust/%d" % (w, c), 0)
+                out["w%d/cust/%d" % (w, c)] = 0
+        return out
+
+    def setup(self, api) -> None:
+        defaults = self._defaults()
+        for key, value in defaults.items():
+            api.load_default(key, value)
+        self._record_start(api, list(defaults))
 
     def plan(self, rng: random.Random, client: int) -> dict:
         cfg = self.cfg
@@ -271,24 +300,25 @@ class TpccLite(Workload):
     def check(self, api, tallies: Dict[str, int]) -> List[str]:
         out = []
         values = api.values()
+        start = self.start
         for w in range(1, self.cfg.warehouses + 1):
             for i in range(ITEMS):
                 sk = "w%d/stock/%d" % (w, i)
                 s = values[sk]
                 if s < 0:
                     out.append("%s fell below zero: %d" % (sk, s))
-                taken = tallies.get("taken @ " + sk, 0)
-                if s != STOCK_INIT - taken:
+                expect = start[sk] - tallies.get("taken @ " + sk, 0)
+                if s != expect:
                     out.append("%s is %d, committed decrements say %d"
-                               % (sk, s, STOCK_INIT - taken))
+                               % (sk, s, expect))
             for d in range(1, DISTRICTS + 1):
                 ctr = "w%d/d%d/next_oid" % (w, d)
-                nxt = values[ctr]
+                nxt, first = values[ctr], start[ctr]
                 committed = tallies.get("orders @ w%d/d%d" % (w, d), 0)
-                if nxt != committed + 1:
-                    out.append("%s is %d after %d committed orders"
-                               % (ctr, nxt, committed))
-                for oid in range(1, nxt):
+                if nxt != first + committed:
+                    out.append("%s is %d after %d committed orders from %d"
+                               % (ctr, nxt, committed, first))
+                for oid in range(first, nxt):
                     if "w%d/d%d/order/%d" % (w, d, oid) not in values:
                         out.append("order id %d missing in w%d/d%d"
                                    % (oid, w, d))
@@ -299,9 +329,10 @@ class TpccLite(Workload):
                         + ["w%d/d%d/ytd" % (w, d) for d in range(1, DISTRICTS + 1)]
                         + ["w%d/cust/%d" % (w, c) for c in range(CUSTOMERS)]):
                 paid = tallies.get("paid @ " + key, 0)
-                if values[key] != paid:
-                    out.append("%s is %d, committed payments sum to %d"
-                               % (key, values[key], paid))
+                if values[key] != start[key] + paid:
+                    out.append("%s is %d, %d plus committed payments sum to %d"
+                               % (key, values[key], start[key],
+                                  start[key] + paid))
         return out
 
 

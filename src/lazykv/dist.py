@@ -45,11 +45,11 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import futexpr
 from .futexpr import Expr, ResolutionError, ResolvedValues, Value, value_kind
-from .locks import LockManager, LockTimeout, StampClock, Wounded
+from .locks import LockTimeout, StampClock, Wounded
 from .meter import MessageMeter
 from .occ import (CommitOutcome, CONDITION_INVALIDATED, NOT_FOUND,
                   OccEngine, RESOLUTION_ERROR, STALE_READ, WOUNDED_REASON)
@@ -77,7 +77,7 @@ def _static_str(e: Expr) -> Tuple[str, bool]:
     if e.kind == "read":
         return "", False
     if e.kind == "str":
-        if not futexpr.keys(e):
+        if not e.handles:
             try:
                 return futexpr.resolve(e, {}), True
             except ResolutionError:
@@ -160,12 +160,19 @@ def can_skip_extra_round(ctx: TxnContext, pm: PartitionMap) -> bool:
     """True iff every future write-key (1) has a statically known partition
     and (2) depends only on futures whose keys live on that partition, so
     the entry can ride along in round 1."""
-    for kexpr, _vexpr in ctx.fwset:
-        pid = pm.static_partition(kexpr)
+    return _rides_along(ctx, [pm.static_partition(k) for k, _v in ctx.fwset],
+                        pm.route)
+
+
+def _rides_along(ctx: TxnContext, fw_pids: List[Optional[int]],
+                 route: Callable[[str], int]) -> bool:
+    """can_skip_extra_round, given each future write-key's static
+    partition (in fwset order) and a key -> partition function."""
+    for (kexpr, _vexpr), pid in zip(ctx.fwset, fw_pids):
         if pid is None:
             return False
-        for h in futexpr.keys(kexpr):
-            if pm.route(ctx.frset[h]) != pid:
+        for h in kexpr.handles:
+            if route(ctx.frset[h]) != pid:
                 return False
     return True
 
@@ -218,7 +225,7 @@ class Participant:
 
     # latches for the optimistic family, locks for the locking one
     @property
-    def _locks(self) -> LockManager:
+    def _locks(self):
         return self.engine.latches if self.family == "occ" else self.engine.locks
 
     def prepare(self, ctx: TxnContext, req: PrepareRequest) -> PrepareVote:
@@ -227,12 +234,10 @@ class Participant:
         return self._prepare_tpl(ctx, req)
 
     def _prepare_occ(self, ctx: TxnContext, req: PrepareRequest) -> PrepareVote:
-        latches = self._locks
-        held: List[str] = []
+        latches = self.engine.latches
         try:
             for key in sorted(req.latch_keys):
                 latches.acquire_write(ctx, key, timeout=_PREPARE_DEADLINE)
-                held.append(key)
             rvalues: ResolvedValues = {}
             for h, key in req.frset.items():
                 v, _ver = self.store.get(key)
@@ -248,8 +253,11 @@ class Participant:
                     fw_extra.append(k)
             for key in sorted(set(fw_extra)):
                 latches.acquire_write(ctx, key, timeout=_PREPARE_DEADLINE)
+            # Silo-style, as in OccEngine.lsd_commit: a read key latched by
+            # another transaction may be about to change
             for key, ver in req.rset.items():
-                if self.store.version(key) != ver:
+                if (self.store.version(key) != ver
+                        or latches.held_by_other(ctx, key)):
                     latches.release_all(ctx)
                     return PrepareVote(False, reason=STALE_READ)
             return PrepareVote(True, rvalues, resolved_fw)
@@ -285,7 +293,7 @@ class Participant:
                     pending[k] = (seq, vexpr)
             for key in sorted(pending):
                 _seq, vexpr = pending[key]
-                if futexpr.keys(vexpr) <= set(rvalues):
+                if vexpr.handles <= rvalues.keys():
                     v = futexpr.resolve(vexpr, rvalues)
                     locks.acquire_write_value(ctx, key, v,
                                               timeout=_PREPARE_DEADLINE)
@@ -398,19 +406,21 @@ class Cluster:
         ctx.require_active()
         pids = set()
         try:
-            for h in futexpr.keys(k):
+            for h in k.handles:
                 if h not in ctx.eager_values:
                     key = ctx.frset[h]
-                    pids.add(self.pm.route(key))
-                    v, ver = self.store_for(key).get(key)
+                    pid = self.pm.route(key)
+                    pids.add(pid)
+                    v, ver = self.partitions[pid].store.get(key)
                     ctx.rset.setdefault(key, ver)
                     ctx.eager_values[h] = v
             key = futexpr.resolve(k, ctx.eager_values)
             if value_kind(key) != "str":
                 raise futexpr.TypeMismatch("key expression resolved to %r" % (key,))
             if ctx.buffered_write(key) is None:
-                pids.add(self.pm.route(key))
-                _v, ver = self.store_for(key).get(key)
+                pid = self.pm.route(key)
+                pids.add(pid)
+                _v, ver = self.partitions[pid].store.get(key)
                 ctx.rset.setdefault(key, ver)
         except (NotFound, ResolutionError):
             ctx.abort()
@@ -419,22 +429,22 @@ class Cluster:
         return futexpr.read_future(key, ctx)
 
     def lsd_is_true(self, ctx: TxnContext, cond: Expr) -> bool:
+        handles = cond.handles
         if self.family == "tpl":
-            handles = futexpr.keys(cond)
             if not handles:
                 return self.partitions[0].engine.lsd_is_true(ctx, cond)
             key = ctx.frset[next(iter(handles))]
             return self.part(key).engine.lsd_is_true(ctx, cond)
         # optimistic: point-read each key on its partition
         ctx.require_active()
-        handles = futexpr.keys(cond)
         vals: ResolvedValues = {}
         pids = set()
         try:
             for h in handles:
                 key = ctx.frset[h]
-                pids.add(self.pm.route(key))
-                v, _ver = self.store_for(key).get(key)
+                pid = self.pm.route(key)
+                pids.add(pid)
+                v, _ver = self.partitions[pid].store.get(key)
                 vals[h] = v
             result = futexpr.resolve(cond, vals)
             if value_kind(result) != "bool":
@@ -455,34 +465,24 @@ class Cluster:
 
     # -- commit ------------------------------------------------------------
 
-    def _involved_partitions(self, ctx: TxnContext) -> Tuple[Optional[int], bool]:
-        """(single pid or None, every fw key statically placed)."""
-        pids = set()
-        for key in ctx.wset:
-            pids.add(self.pm.route(key))
-        for key in ctx.frset.values():
-            pids.add(self.pm.route(key))
-        for key in ctx.rset:
-            pids.add(self.pm.route(key))
-        fw_static = True
-        for kexpr, _v in ctx.fwset:
-            pid = self.pm.static_partition(kexpr)
-            if pid is None:
-                fw_static = False
-            else:
-                pids.add(pid)
-        if len(pids) == 1 and fw_static:
-            return next(iter(pids)), True
-        return None, fw_static
-
     def lsd_commit(self, ctx: TxnContext) -> DistOutcome:
         ctx.require_active()
-        single, _ = self._involved_partitions(ctx)
-        if single is not None:
-            base = self.partitions[single].engine.lsd_commit(ctx)
-            return DistOutcome(base.committed, base.rvalues, base.reason,
-                               prepare_rounds=0, messages=1)
-        return self._two_pc(ctx)
+        pm = self.pm
+        # every statically known key routed once, for this commit only
+        where: Dict[str, int] = {}
+        for keys in (ctx.wset, ctx.frset.values(), ctx.rset):
+            for key in keys:
+                if key not in where:
+                    where[key] = pm.route(key)
+        fw_pids = [pm.static_partition(kexpr) for kexpr, _v in ctx.fwset]
+        if None not in fw_pids:
+            pids = set(where.values())
+            pids.update(fw_pids)
+            if len(pids) == 1:
+                base = self.partitions[pids.pop()].engine.lsd_commit(ctx)
+                return DistOutcome(base.committed, base.rvalues, base.reason,
+                                   prepare_rounds=0, messages=1)
+        return self._two_pc(ctx, where, fw_pids)
 
     def _abort_everywhere(self, ctx: TxnContext, pids: Sequence[int],
                           reason: str, rvalues: ResolvedValues,
@@ -496,9 +496,12 @@ class Cluster:
         return DistOutcome(False, rvalues, reason,
                            prepare_rounds=rounds, messages=messages)
 
-    def _two_pc(self, ctx: TxnContext) -> DistOutcome:
+    def _two_pc(self, ctx: TxnContext, where: Dict[str, int],
+                fw_pids: List[Optional[int]]) -> DistOutcome:
+        """where routes every key of wset, frset and rset; fw_pids holds
+        each future write-key's static partition, in fwset order."""
         pm = self.pm
-        skip = can_skip_extra_round(ctx, pm)
+        skip = _rides_along(ctx, fw_pids, where.__getitem__)
         extra_round_needed = bool(ctx.fwset) and not skip
         messages = 0
 
@@ -511,28 +514,26 @@ class Cluster:
             return reqs[pid]
 
         for key, e in ctx.wset.items():
-            pid = pm.route(key)
-            r = req_for(pid)
+            r = req_for(where[key])
             r.latch_keys.append(key)
             r.local_values[key] = (ctx.wseq[key], e)
         for h, key in ctx.frset.items():
-            r = req_for(pm.route(key))
+            r = req_for(where[key])
             r.frset[h] = key
             if self.family == "occ" and key not in r.latch_keys:
                 r.latch_keys.append(key)
         for key, ver in ctx.rset.items():
-            req_for(pm.route(key)).rset[key] = ver
+            req_for(where[key]).rset[key] = ver
         if skip:
-            for (kexpr, vexpr), seq in zip(ctx.fwset, ctx.fwseq):
-                pid = pm.static_partition(kexpr)
+            for (kexpr, vexpr), seq, pid in zip(ctx.fwset, ctx.fwseq, fw_pids):
                 req_for(pid).ride_along_fw.append((kexpr, seq, vexpr))
         if self.family == "tpl":
             for cond, _expected in ctx.cset:
-                handles = futexpr.keys(cond)
+                handles = cond.handles
                 if not handles:
                     continue
                 key = ctx.frset[next(iter(handles))]
-                req_for(pm.route(key)).cset_remove.append((key, cond))
+                req_for(where[key]).cset_remove.append((key, cond))
 
         pids = sorted(reqs)
         self.meter.trip("prepare", messages=2 * len(pids))
@@ -576,7 +577,9 @@ class Cluster:
                     except ResolutionError:
                         return self._abort_everywhere(
                             ctx, pids, RESOLUTION_ERROR, rvalues, rounds, messages)
-                by_pid.setdefault(pm.route(k), []).append((k, value))
+                if k not in where:
+                    where[k] = pm.route(k)
+                by_pid.setdefault(where[k], []).append((k, value))
             rounds = 2
             p2pids = sorted(by_pid)
             self.meter.trip("prepare", messages=2 * len(p2pids))
@@ -625,10 +628,13 @@ class Cluster:
                                           RESOLUTION_ERROR, rvalues,
                                           rounds, messages)
 
-        decide_pids = sorted(contacted | {pm.route(k) for k in writes})
+        for k in writes:
+            if k not in where:
+                where[k] = pm.route(k)
+        decide_pids = sorted(contacted | {where[k] for k in writes})
         by_pid_writes: Dict[int, Dict[str, Value]] = {pid: {} for pid in decide_pids}
         for k, v in writes.items():
-            by_pid_writes[pm.route(k)][k] = v
+            by_pid_writes[where[k]][k] = v
         self.meter.trip("decision", messages=2 * len(decide_pids))
         messages += 2 * len(decide_pids)
         for pid in decide_pids:

@@ -21,8 +21,8 @@ single-threaded (one client thread per transaction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 INT_MIN = -(1 << 63)
 INT_MAX = (1 << 63) - 1
@@ -50,9 +50,11 @@ class ArityError(ValueError):
     """compose() called with the wrong number of children for the kind."""
 
 
-@dataclass(frozen=True)
-class FutureHandle:
-    """Placeholder for the value of `key`, unique within one transaction."""
+class FutureHandle(NamedTuple):
+    """Placeholder for the value of `key`, unique within one transaction.
+
+    A tuple, so that hashing and comparing one (every lookup in a resolved
+    values map) run in C rather than in a Python-level method."""
 
     id: int
     key: str
@@ -78,14 +80,42 @@ ARITY = {
 KINDS = frozenset(ARITY) | {"const", "read"}
 
 
-@dataclass(frozen=True)
-class Expr:
-    """One node of an expression tree; compare/hash structurally."""
+_NO_HANDLES: FrozenSet[FutureHandle] = frozenset()
 
-    kind: str
-    value: Optional[Value] = None
-    handle: Optional[FutureHandle] = None
-    children: Tuple["Expr", ...] = ()
+
+class Expr:
+    """One node of an expression tree; compares and hashes structurally.
+
+    Nodes are never modified after construction, so `handles`, the set of
+    futures the tree reads, is computed once here from the children's sets
+    and every later `keys()` call is a lookup rather than a walk."""
+
+    __slots__ = ("kind", "value", "handle", "children", "handles")
+
+    def __init__(self, kind: str, value: Optional[Value] = None,
+                 handle: Optional[FutureHandle] = None,
+                 children: Tuple["Expr", ...] = ()):
+        self.kind = kind
+        self.value = value
+        self.handle = handle
+        self.children = children
+        hs = _NO_HANDLES if handle is None else frozenset((handle,))
+        for c in children:
+            if c.handles:
+                hs = c.handles if not hs else hs | c.handles
+        self.handles: FrozenSet[FutureHandle] = hs
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Expr:
+            return NotImplemented
+        return (self.kind == other.kind and self.value == other.value
+                and self.handle == other.handle
+                and self.children == other.children)
+
+    def __hash__(self):
+        return hash((self.kind, self.value, self.handle, self.children))
 
     def __repr__(self):
         return to_sexpr(self)
@@ -191,17 +221,9 @@ def read_future(key: str, ctx) -> Expr:
     return read(ctx.new_future(key))
 
 
-def keys(e: Expr) -> Set[FutureHandle]:
+def keys(e: Expr) -> FrozenSet[FutureHandle]:
     """The future handles e depends on (its read leaves)."""
-    out: Set[FutureHandle] = set()
-    stack: List[Expr] = [e]
-    while stack:
-        n = stack.pop()
-        if n.kind == "read":
-            out.add(n.handle)
-        else:
-            stack.extend(n.children)
-    return out
+    return e.handles
 
 
 ResolvedValues = Dict[FutureHandle, Value]
@@ -219,18 +241,59 @@ def resolve(e: Expr, rv: ResolvedValues) -> Value:
     Deterministic and pure: equal inputs give equal outputs.  Raises
     UnboundHandle if a read leaf is missing from rv, TypeMismatch on operand
     kind violations, IntOverflow when arithmetic leaves the 64-bit range.
+    Every child is evaluated before the operator is applied, so an error in
+    any operand surfaces even where the result would not need it.
     """
     k = e.kind
     if k == "const":
         return e.value
     if k == "read":
-        if e.handle not in rv:
-            raise UnboundHandle("no value bound for %r" % (e.handle,))
-        return rv[e.handle]
+        try:
+            return rv[e.handle]
+        except KeyError:
+            raise UnboundHandle("no value bound for %r" % (e.handle,)) from None
+    ch = e.children
+    a = resolve(ch[0], rv)
+    ta = a.__class__
+    if len(ch) == 1:
+        if k == "not" and ta is bool:
+            return not a
+        if k == "str" and ta is int:
+            return str(a)
+        return _apply_checked(k, [a])
+    b = resolve(ch[1], rv)
+    # fast paths for operands of the exact built-in types; anything else,
+    # errors included, goes through the kind-checked path below
+    if ta is b.__class__:
+        if ta is int:
+            if k == "add":
+                return _check_int(a + b)
+            if k == "sub":
+                return _check_int(a - b)
+        if k == "eq" and (ta is int or ta is str or ta is bool):
+            return a == b
+        if ta is int or ta is str:
+            if k == "ge":
+                return a >= b
+            if k == "gt":
+                return a > b
+            if k == "le":
+                return a <= b
+            if k == "lt":
+                return a < b
+            if k == "concat" and ta is str:
+                return a + b
+        if ta is bool:
+            if k == "and":
+                return a and b
+            if k == "or":
+                return a or b
+    return _apply_checked(k, [a, b])
 
-    vals = [resolve(c, rv) for c in e.children]
+
+def _apply_checked(k: str, vals: List[Value]) -> Value:
+    """Apply operator k to evaluated operands, checking their kinds."""
     kinds = [value_kind(v) for v in vals]
-
     if k in ("add", "sub"):
         if kinds != ["int", "int"]:
             raise TypeMismatch("%s needs int operands, got %s" % (k, kinds))
@@ -270,7 +333,7 @@ def resolve(e: Expr, rv: ResolvedValues) -> Value:
 #   expr   := "(" "const" atom ")"
 #           | "(" "read" handle ")"
 #           | "(" op expr... ")"
-#   atom   := integer | "true" | "false" | quoted string ("..." with \" \\ \n)
+#   atom   := integer | "true" | "false" | quoted string ("..." with \" \\ \n \t)
 #   handle := "h" integer
 #   op     := add sub concat ge gt le lt eq and or not str
 # Handles are printed as h<id>; decoding takes a name->FutureHandle table so
@@ -295,6 +358,9 @@ def to_sexpr(e: Expr) -> str:
     return "(%s %s)" % (e.kind, " ".join(to_sexpr(c) for c in e.children))
 
 
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+
 def _tokenize(text: str) -> List[str]:
     toks: List[str] = []
     i = 0
@@ -310,8 +376,12 @@ def _tokenize(text: str) -> List[str]:
             buf = []
             while j < len(text):
                 if text[j] == "\\":
+                    if j + 1 == len(text):
+                        raise ValueError("unterminated string literal")
                     esc = text[j + 1]
-                    buf.append({"n": "\n", '"': '"', "\\": "\\"}[esc])
+                    if esc not in _ESCAPES:
+                        raise ValueError("unknown escape \\%s at %d" % (esc, j))
+                    buf.append(_ESCAPES[esc])
                     j += 2
                 elif text[j] == '"':
                     break

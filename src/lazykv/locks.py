@@ -19,9 +19,13 @@ evaluating the installed predicate against the pending/candidate value):
     W(v) sat   -      -      ok       -          -
     W(v) unsat -      -      -        -          -
 
+This manager serves the locking family; the optimistic engines latch
+through occ.LatchTable instead.
+
 Design rules:
-  - One mutex guards the whole manager; blocking happens outside it on a
-    per-request Event.
+  - One mutex guards the whole manager.  A request that cannot be granted
+    at once parks outside it on an Event built for that request; granted
+    requests never build one.
   - Wait queue per key is FIFO; the grant walk stops at the first
     incompatible waiter so writers cannot starve behind a reader stream.
   - Upgrades (requester already holds the key) bypass the queue: they are
@@ -35,12 +39,12 @@ Design rules:
     Two committers of the same key then serialize FIFO instead of
     deadlocking on their read locks.  A function that cannot produce a
     value yet returns UNRESOLVABLE, which satisfies no condition.
-  - Wound-wait (optional per manager): an older requester wounds younger
-    conflicting holders and then waits; a younger requester just waits.
-    Wounds are one-way flags on the owner object, checked at every
-    acquisition; a parked victim in this manager is cancelled immediately,
-    and every parked request re-checks its owner's flag every few ms so
-    wounds delivered through another manager (other partitions) also land.
+  - Wound-wait: an older requester wounds younger conflicting holders and
+    then waits; a younger requester just waits.  Wounds are one-way flags
+    on the owner object, checked at every acquisition; a parked victim in
+    this manager is cancelled immediately, and every parked request
+    re-checks its owner's flag every few ms so wounds delivered through
+    another manager (other partitions) also land.
   - Whenever a new holder is installed while an older waiter stays parked
     against it (possible via the upgrade bypass and FIFO grants), the new
     holder is wounded.  Queue positions are wait-for edges as well: a
@@ -51,9 +55,6 @@ Design rules:
     keep the waits-for relation, holder edges and queue edges alike, free
     of older-waits-on-unwounded-younger pairs, which is what makes it
     acyclic.
-  - With wound-wait off the manager is a plain FIFO blocking latch table
-    (the optimistic engines' commit latches; they order acquisitions by key
-    and must never abort anyone).
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class _Request:
         self.expected = expected
         self.handle = handle
         self.upgrade = upgrade
-        self.event = threading.Event()
+        self.event: Optional[threading.Event] = None  # built when parking
         self.outcome = PENDING
         self.key_name = ""
 
@@ -202,12 +203,11 @@ def _entry_satisfied(entry: ConditionEntry, value: Value) -> bool:
 
 
 class LockManager:
-    def __init__(self, wound_wait: bool = True, poll_interval: float = 0.005):
+    def __init__(self, poll_interval: float = 0.005):
         self._mutex = threading.Lock()
         self._keys: Dict[str, _KeyState] = {}
         self._held: Dict[int, Set[str]] = {}  # stamp -> keys with any hold
         self._parked: Dict[int, _Request] = {}  # stamp -> its parked request
-        self._wound_wait = wound_wait
         self._poll = poll_interval
 
     # -- public API --------------------------------------------------------
@@ -334,6 +334,11 @@ class LockManager:
         with self._mutex:
             return set(self._held.get(txn.stamp, ()))
 
+    def queued_keys(self) -> List[str]:
+        """Keys with at least one parked request."""
+        with self._mutex:
+            return sorted(k for k, st in self._keys.items() if st.queue)
+
     def dump_key(self, key: str) -> str:
         """Human-readable lock state, for the diagnostic flag."""
         with self._mutex:
@@ -371,7 +376,10 @@ class LockManager:
             self._keys.pop(key, None)
 
     def _note_held(self, txn, key: str) -> None:
-        self._held.setdefault(txn.stamp, set()).add(key)
+        held = self._held.get(txn.stamp)
+        if held is None:
+            held = self._held[txn.stamp] = set()
+        held.add(key)
 
     def _forget_if_free(self, txn, key: str, st: _KeyState) -> None:
         if (txn.stamp not in st.readers and st.writer is not txn
@@ -383,7 +391,7 @@ class LockManager:
                     del self._held[txn.stamp]
 
     def _check_wounded(self, txn) -> None:
-        if self._wound_wait and getattr(txn, "wounded", False):
+        if txn.wounded:
             raise Wounded(txn.stamp)
 
     def _refresh(self, req: _Request) -> None:
@@ -392,18 +400,29 @@ class LockManager:
         if req.value_fn is not None:
             req.value = req.value_fn()
 
+    @staticmethod
+    def _others_read(st: _KeyState, owner) -> bool:
+        for o in st.readers.values():
+            if o is not owner:
+                return True
+        return False
+
     def _compatible(self, st: _KeyState, req: _Request) -> bool:
-        other_readers = [o for s, o in st.readers.items() if o is not req.owner]
-        writer = st.writer if st.writer is not req.owner else None
-        other_conds = [e for e in st.conditions if e.owner is not req.owner]
+        owner = req.owner
+        writer = st.writer
+        if writer is owner:
+            writer = None
         m = req.mode
         if m == "r":
             return writer is None
-        if m == "w":
-            return not other_readers and writer is None and not other_conds
-        if m == "wv":
-            return (not other_readers and writer is None
-                    and all(_entry_satisfied(e, req.value) for e in other_conds))
+        if m == "w" or m == "wv":
+            if writer is not None or self._others_read(st, owner):
+                return False
+            for e in st.conditions:
+                if e.owner is not owner and (
+                        m == "w" or not _entry_satisfied(e, req.value)):
+                    return False
+            return True
         if m == "rc":
             if writer is None:
                 return True
@@ -418,21 +437,19 @@ class LockManager:
 
     def _blockers(self, st: _KeyState, req: _Request) -> List[object]:
         """The holders whose presence makes req incompatible."""
-        out = []
-        writer = st.writer if st.writer is not req.owner else None
+        owner = req.owner
         m = req.mode
-        if m in ("w", "wv"):
-            out.extend(o for s, o in st.readers.items() if o is not req.owner)
-        if writer is not None and (
-                m in ("r", "w", "wv")
-                or (m == "rc" and not self._compatible(st, req))):
+        out = []
+        if m == "w" or m == "wv":
+            out.extend(o for o in st.readers.values() if o is not owner)
+        writer = st.writer
+        if writer is not None and writer is not owner and (
+                m != "rc" or not self._compatible(st, req)):
             out.append(writer)
-        if m == "w":
-            out.extend(e.owner for e in st.conditions if e.owner is not req.owner)
-        elif m == "wv":
+        if m == "w" or m == "wv":
             out.extend(e.owner for e in st.conditions
-                       if e.owner is not req.owner
-                       and not _entry_satisfied(e, req.value))
+                       if e.owner is not owner
+                       and (m == "w" or not _entry_satisfied(e, req.value)))
         return out
 
     def _conflicts_with_new_holder(self, req: _Request, holder, st: _KeyState) -> bool:
@@ -496,8 +513,13 @@ class LockManager:
         parked = self._parked.get(victim.stamp)
         if parked is not None and parked.owner is victim:
             self._unpark(parked)
-            parked.outcome = WOUNDED
-            parked.event.set()
+            self._settle(parked, WOUNDED)
+
+    @staticmethod
+    def _settle(req: _Request, outcome: str) -> None:
+        req.outcome = outcome
+        if req.event is not None:
+            req.event.set()
 
     def _unpark(self, req: _Request) -> None:
         self._parked.pop(req.owner.stamp, None)
@@ -506,8 +528,6 @@ class LockManager:
             st.queue.remove(req)
 
     def _wound_younger_blockers(self, st: _KeyState, req: _Request) -> None:
-        if not self._wound_wait:
-            return
         self._refresh(req)
         for blocker in self._blockers(st, req):
             if blocker.stamp > req.owner.stamp:
@@ -519,8 +539,6 @@ class LockManager:
         younger conflicting entries ahead of req, and req itself when an
         older conflicting entry is behind it; otherwise a barrier edge
         could close a cycle no holder edge exposes."""
-        if not self._wound_wait:
-            return
         me = st.queue.index(req)
         victims = []
         wound_me = False
@@ -541,8 +559,6 @@ class LockManager:
     def _wound_younger_holder_vs_waiters(self, st: _KeyState, holder) -> None:
         """New holder installed; wound it if an older parked waiter on this
         key conflicts with the new hold."""
-        if not self._wound_wait:
-            return
         for waiter in st.queue:
             if (waiter.owner.stamp < holder.stamp
                     and self._conflicts_with_new_holder(waiter, holder, st)):
@@ -554,11 +570,10 @@ class LockManager:
         incompatible one (FIFO fairness barrier)."""
         while st.queue:
             req = st.queue[0]
-            if req.owner.wounded and self._wound_wait:
+            if req.owner.wounded:
                 st.queue.pop(0)
                 self._parked.pop(req.owner.stamp, None)
-                req.outcome = WOUNDED
-                req.event.set()
+                self._settle(req, WOUNDED)
                 continue
             self._refresh(req)
             if not self._compatible(st, req):
@@ -566,8 +581,7 @@ class LockManager:
             st.queue.pop(0)
             self._parked.pop(req.owner.stamp, None)
             added = self._install(st, req, req.key_name)
-            req.outcome = GRANTED
-            req.event.set()
+            self._settle(req, GRANTED)
             if added:
                 self._wound_younger_holder_vs_waiters(st, req.owner)
 
@@ -607,6 +621,9 @@ class LockManager:
                 return
             if req.outcome == WOUNDED:
                 raise Wounded(txn.stamp)
+            # still parked: every later outcome change happens under the
+            # mutex and sets this event
+            req.event = threading.Event()
 
         while True:
             remaining = self._poll
@@ -618,7 +635,7 @@ class LockManager:
                     return
                 if req.outcome == WOUNDED:
                     raise Wounded(txn.stamp)
-                if self._wound_wait and getattr(txn, "wounded", False):
+                if txn.wounded:
                     # wound delivered through another manager
                     self._unpark(req)
                     req.outcome = WOUNDED

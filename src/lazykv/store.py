@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 import threading
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .futexpr import INT_MAX, INT_MIN, Value, value_kind
 
@@ -40,6 +40,9 @@ class SnapshotError(ValueError):
 
 
 _TAGS = {"int": 0, "str": 1, "bool": 2}
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
+_U64 = struct.Struct("<Q")
 
 
 class Store:
@@ -123,33 +126,65 @@ class Store:
             f.write(b"".join(chunks))
 
     @classmethod
-    def load_snapshot(cls, path: str) -> "Store":
+    def load_snapshot(cls, path: str,
+                      into: Optional[Callable[[str], "Store"]] = None
+                      ) -> Optional["Store"]:
+        """Parse a snapshot file in one pass.
+
+        Without `into` every record goes into a fresh store, which is
+        returned.  With it, each record is installed straight into the
+        store that into(key) names (a partitioned deployment's placement)
+        and None is returned.  Like restore_record, installing bypasses the
+        successor check, so it is valid only before the stores serve
+        transactions.  Raises SnapshotError on truncated input, an unknown
+        value tag, a version below 1, or bytes that are not UTF-8."""
         with open(path, "rb") as f:
             data = f.read()
-        st = cls()
-        pos = 0
-
-        def take(n: int) -> bytes:
-            nonlocal pos
-            if pos + n > len(data):
-                raise SnapshotError("truncated snapshot at byte %d" % pos)
-            out = data[pos : pos + n]
-            pos += n
-            return out
-
-        while pos < len(data):
-            (klen,) = struct.unpack("<I", take(4))
-            key = take(klen).decode("utf-8")
-            (tag,) = struct.unpack("<B", take(1))
-            if tag == 0:
-                (value,) = struct.unpack("<q", take(8))
-            elif tag == 1:
-                (vlen,) = struct.unpack("<I", take(4))
-                value = take(vlen).decode("utf-8")
-            elif tag == 2:
-                value = take(1) != b"\x00"
-            else:
-                raise SnapshotError("unknown value tag %d" % tag)
-            (version,) = struct.unpack("<Q", take(8))
-            st.restore_record(key, value, version)
-        return st
+        fresh = None
+        if into is None:
+            fresh = cls()
+            into = lambda _key: fresh
+        u32, i64, u64 = _U32.unpack_from, _I64.unpack_from, _U64.unpack_from
+        n = len(data)
+        pos = start = 0
+        try:
+            while pos < n:
+                start = pos
+                (klen,) = u32(data, pos)
+                pos += 4
+                if pos + klen > n:
+                    raise SnapshotError("truncated snapshot at byte %d" % start)
+                key = data[pos:pos + klen].decode("utf-8")
+                pos += klen
+                tag = data[pos]
+                pos += 1
+                if tag == 0:
+                    (value,) = i64(data, pos)
+                    pos += 8
+                elif tag == 1:
+                    (vlen,) = u32(data, pos)
+                    pos += 4
+                    if pos + vlen > n:
+                        raise SnapshotError(
+                            "truncated snapshot at byte %d" % start)
+                    value = data[pos:pos + vlen].decode("utf-8")
+                    pos += vlen
+                elif tag == 2:
+                    value = data[pos] != 0
+                    pos += 1
+                else:
+                    raise SnapshotError("unknown value tag %d at byte %d"
+                                        % (tag, start))
+                (version,) = u64(data, pos)
+                pos += 8
+                if version < 1:
+                    raise SnapshotError("record for %r has version %d"
+                                        % (key, version))
+                dest = into(key)
+                with dest._mutex:
+                    dest._records[key] = (value, version)
+        except (struct.error, IndexError):
+            raise SnapshotError("truncated snapshot at byte %d" % start) from None
+        except UnicodeDecodeError:
+            raise SnapshotError("record at byte %d is not UTF-8" % start) from None
+        return fresh

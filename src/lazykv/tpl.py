@@ -58,7 +58,7 @@ class TplEngine:
         self.store = store
         self.clock = clock or StampClock()
         self.meter = meter or MessageMeter()
-        self.locks = locks or LockManager(wound_wait=True)
+        self.locks = locks or LockManager()
         self._ids = itertools.count(1)
 
     # -- lifecycle ---------------------------------------------------------
@@ -70,16 +70,6 @@ class TplEngine:
 
     def on_abort(self, ctx: TxnContext) -> None:
         self.locks.release_all(ctx)
-
-    def _cond_key(self, ctx: TxnContext, cond: Expr) -> str:
-        handles = futexpr.keys(cond)
-        if len(handles) != 1:
-            raise UnsupportedCondition(
-                "condition reads %d keys, need exactly 1" % len(handles))
-        h = next(iter(handles))
-        if h not in ctx.frset:
-            raise futexpr.UnboundHandle("foreign handle %r" % (h,))
-        return ctx.frset[h]
 
     # -- execution-time operations ----------------------------------------
 
@@ -113,14 +103,20 @@ class TplEngine:
 
     def lsd_is_true(self, ctx: TxnContext, cond: Expr) -> bool:
         ctx.require_active()
-        if not futexpr.keys(cond):
+        handles = cond.handles
+        if not handles:
             result = futexpr.resolve(cond, {})
             if value_kind(result) != "bool":
                 raise futexpr.TypeMismatch("condition resolved to %r" % (result,))
             ctx.cset.append((cond, result))
             return result
-        key = self._cond_key(ctx, cond)
-        h = next(iter(futexpr.keys(cond)))
+        if len(handles) != 1:
+            raise UnsupportedCondition(
+                "condition reads %d keys, need exactly 1" % len(handles))
+        (h,) = handles
+        key = ctx.frset.get(h)
+        if key is None:
+            raise futexpr.UnboundHandle("foreign handle %r" % (h,))
         self.meter.trip("is_true")
         try:
             self.locks.acquire_read(ctx, key)

@@ -110,7 +110,7 @@ class TestLockMatrix:
     def test_every_cell_under_one_second(self):
         t0 = time.monotonic()
         for req, rv, held, hv, expected in self.CELLS:
-            m = LockManager(wound_wait=True)
+            m = LockManager()
             _hold(m, LockOwner(1), held, hv)
             got = _grantable(m, LockOwner(2), req, rv)
             assert got is expected, (req, rv, held, hv)

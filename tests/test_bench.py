@@ -3,6 +3,8 @@ contract, and the serial-equivalence oracle."""
 
 import csv
 import random
+import threading
+import time
 
 import pytest
 
@@ -12,8 +14,8 @@ from lazykv.bench.oracle import (CommittedTxn, GuardedWriteStep, ReadStep,
                                  ScheduleLog, WriteStep, check_serial_equivalence,
                                  random_schedule, run_schedule, slot_read,
                                  _execute_txn, _slots_of, slot_handle)
-from lazykv.bench.runner import (ProtocolApi, RunConfig, family_of,
-                                 make_engine, run, run_assert, run_hotkey,
+from lazykv.bench.runner import (ProtocolApi, RunConfig, build_api,
+                                 family_of, make_engine, run, run_assert, run_hotkey,
                                  run_tpcc_lite, validate)
 from lazykv.bench.workloads import make_workload
 from lazykv import futexpr
@@ -136,6 +138,27 @@ class TestRunnerAccounting:
         r = run(RunConfig(**OPS_CFG, dump_key="hot"))
         assert r.lock_dump == "hot: unlocked"
 
+    def test_wedge_dump_lists_every_waited_key(self):
+        # the report a wedged run raises with: every key someone waits for
+        api = build_api(RunConfig(protocol="occ-lsd"))
+        latches = api.engine.latches
+        holder, waiter = api.begin(), api.begin()
+        latches.acquire_write(holder, "a")
+        latches.acquire_write(holder, "b")
+        t = threading.Thread(target=latches.acquire_write,
+                             args=(waiter, "b", 10.0))
+        t.start()
+        deadline = time.monotonic() + 10
+        while latches.queued_keys() != ["b"] and time.monotonic() < deadline:
+            time.sleep(0.001)
+        text = api.dump_queued()
+        latches.release_all(holder)
+        t.join(10)
+        assert not t.is_alive()
+        latches.release_all(waiter)
+        assert text == "b:\n  latched by stamp %d\n  waiting: 1" % holder.stamp
+        assert api.dump_queued() == "(no key has a waiter)"
+
     def test_named_entry_points_check_workload(self):
         with pytest.raises(ValueError):
             run_assert(RunConfig(workload="hotkey"))
@@ -160,11 +183,30 @@ class TestSnapshotFlow:
         s = Store()
         s.put("c/0", 100, 1)
         s.save_snapshot(path)
+        out = str(tmp_path / "final.snap")
         r = run(RunConfig(protocol="occ-lsd", workload="hotkey", clients=1,
-                          ops=3, p=0, seed=5, snapshot=path))
-        # the seeded counter kept its value as the base for new increments
-        assert r.invariant_failures  # 100 + 3 != 3 committed increments
-        assert "c/0" in r.invariant_failures[0]
+                          ops=3, p=0, seed=5, snapshot=path,
+                          save_snapshot=out))
+        # the seeded counter kept its value as the base for new increments,
+        # and the check tallies from that base
+        assert Store.load_snapshot(out).get("c/0") == (103, 4)
+        assert r.tallies == {"c/0": 3} and r.invariant_failures == []
+
+    def test_restore_places_records_on_their_partitions(self, tmp_path):
+        path = str(tmp_path / "seeded.snap")
+        s = Store()
+        for i in range(20):
+            s.put("k%d" % i, i, 1)
+            s.put("k%d" % i, i + 1, 2)
+        s.save_snapshot(path)
+        api = build_api(RunConfig(protocol="occ-lsd", partitions=2,
+                                  policy="hash"))
+        api.restore_snapshot(path)
+        for p in api.engine.partitions:
+            for key, value, version in p.store.items():
+                assert api.engine.pm.route(key) == p.pid
+                assert (value, version) == (int(key[1:]) + 1, 2)
+        assert len(api.values()) == 20
 
 
 class TestCli:
@@ -200,16 +242,33 @@ class TestCli:
         assert main(["--ops", "1", "--snapshot", missing]) == 2
 
     def test_exit_one_on_invariant_violation(self, capsys, tmp_path):
-        # a seeded counter the run's own tally cannot explain
+        # a restored state that breaks an invariant no run can repair
         path = str(tmp_path / "tainted.snap")
         s = Store()
-        s.put("hot", 5, 1)
+        s.put("w1/stock/0", -5, 1)
         s.save_snapshot(path)
-        code = main(["--protocol", "occ-lsd", "--workload", "hotkey",
-                     "--p", "100", "--clients", "2", "--ops", "2",
-                     "--snapshot", path])
+        code = main(["--protocol", "occ-lsd", "--workload", "tpcc-lite",
+                     "--clients", "2", "--ops", "2", "--snapshot", path])
         assert code == 1
-        assert "INVARIANT VIOLATED" in capsys.readouterr().err
+        assert "w1/stock/0 fell below zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workload", ["hotkey", "tpcc-lite"])
+    def test_restored_run_checks_clean(self, capsys, tmp_path, workload):
+        path = str(tmp_path / "state.snap")
+        args = ["--protocol", "occ-lsd", "--workload", workload,
+                "--clients", "2", "--ops", "3"]
+        assert main(args + ["--save-snapshot", path]) == 0
+        assert main(args + ["--snapshot", path]) == 0
+        assert "INVARIANT VIOLATED" not in capsys.readouterr().err
+
+    def test_exit_two_on_non_int_counter(self, capsys, tmp_path):
+        path = str(tmp_path / "typed.snap")
+        s = Store()
+        s.put("hot", "text", 1)
+        s.save_snapshot(path)
+        assert main(["--workload", "hotkey", "--ops", "1",
+                     "--snapshot", path]) == 2
+        assert "needs an int" in capsys.readouterr().err
 
     def test_dump_key_flag_prints_lock_state(self, capsys):
         code = main(["--protocol", "2pl-lsd", "--workload", "hotkey",

@@ -207,6 +207,24 @@ class TestDistributedValidation:
         follower.write(kb, const(3))
         assert c.lsd_commit(follower).committed
 
+    def test_read_key_latched_by_another_votes_stale(self):
+        # write skew guard: T2 holds the latch on T1's read-only key
+        pm = HashPartitionMap(2)
+        c = Cluster(pm)
+        ka, kb = find_key(pm, 0), find_key(pm, 1)
+        c.load(ka, 0)
+        c.load(kb, 0)
+        t1 = c.begin()
+        c.classic_read(t1, ka)
+        t1.write(kb, const(1))
+        t2 = c.begin()
+        c.partitions[0]._locks.acquire_write(t2, ka)
+        out = c.lsd_commit(t1)
+        c.partitions[0]._locks.release_all(t2)
+        assert not out.committed and out.reason == STALE_READ
+        assert out.prepare_rounds == 1
+        assert c.store_for(kb).get(kb) == (0, 1)
+
     def test_condition_checked_against_merged_reads(self):
         pm = HashPartitionMap(2)
         c = Cluster(pm)

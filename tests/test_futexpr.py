@@ -223,6 +223,15 @@ class TestSexpr:
         assert to_sexpr(const(True)) == "(const true)"
         assert from_sexpr("(const false)") == const(False)
 
+    def test_tab_escape(self):
+        assert from_sexpr('(const "a\\tb")') == const("a\tb")
+
+    def test_bad_escapes_rejected(self):
+        # an unknown escape, and a backslash that ends the input
+        for text in ['(const "a\\q")', '(const "a\\']:
+            with pytest.raises(ValueError):
+                from_sexpr(text)
+
     def test_unknown_handle_rejected(self):
         with pytest.raises(ValueError):
             from_sexpr("(read h9)", {})

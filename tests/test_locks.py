@@ -16,7 +16,7 @@ COND = gt(read(H), const(0))  # predicate: value > 0
 
 
 def mgr():
-    return LockManager(wound_wait=True)
+    return LockManager()
 
 
 def hold(m, owner, mode, value=None, expected=True):

@@ -1,5 +1,8 @@
 """Optimistic engine: classic validation, future-aware commit, speculation."""
 
+import threading
+import time
+
 import pytest
 
 from lazykv import (CONDITION_INVALIDATED, MessageMeter, NOT_FOUND, NotFound,
@@ -245,6 +248,57 @@ class TestCommitEdges:
         ctx = eng.begin()
         out = eng.lsd_commit(ctx)
         assert out.committed and out.rvalues == {}
+
+
+class TestWriteSkew:
+    """T1 reads k and writes x; T2 reads x and writes k.  Classic OCC must
+    not let both commit."""
+
+    def test_read_key_latched_by_another_aborts(self):
+        eng = engine(k=0, x=0)
+        t1 = eng.begin()
+        eng.classic_read(t1, "k")
+        t1.write("x", const(1))
+        t2 = eng.begin()
+        eng.latches.acquire_write(t2, "k")  # T2 is mid-commit on k
+        out = eng.lsd_commit(t1)
+        eng.latches.release_all(t2)
+        assert not out.committed and out.reason == STALE_READ
+        assert eng.store.get("x") == (0, 1)
+
+    def test_racing_pairs_never_both_commit(self, monkeypatch):
+        # a slow version check opens the window between one commit's
+        # validation and its install, where the other commit can run
+        real_version = Store.version
+
+        def slow_version(store, key):
+            v = real_version(store, key)
+            time.sleep(0.0002)
+            return v
+
+        monkeypatch.setattr(Store, "version", slow_version)
+        both = 0
+        for _ in range(300):
+            eng = engine(k=0, x=0)
+            barrier = threading.Barrier(2)
+            committed = {}
+
+            def txn(read_key, write_key):
+                ctx = eng.begin()
+                eng.classic_read(ctx, read_key)
+                ctx.write(write_key, const(1))
+                barrier.wait(timeout=10)
+                committed[read_key] = eng.lsd_commit(ctx).committed
+
+            threads = [threading.Thread(target=txn, args=("k", "x")),
+                       threading.Thread(target=txn, args=("x", "k"))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            both += committed["k"] and committed["x"]
+        assert both == 0
 
 
 class TestMessageAccounting:

@@ -131,6 +131,17 @@ class TestSnapshot:
         with pytest.raises(SnapshotError):
             Store.load_snapshot(path)
 
+    def test_bad_utf8_rejected(self, tmp_path):
+        bad_key = struct.pack("<I", 1) + b"\xff" + b"\x00" \
+            + struct.pack("<q", 1) + struct.pack("<Q", 1)
+        bad_value = _record("k", 1, struct.pack("<I", 1) + b"\xff", 1)
+        for i, blob in enumerate((bad_key, bad_value)):
+            path = str(tmp_path / ("bad%d.bin" % i))
+            with open(path, "wb") as f:
+                f.write(blob)
+            with pytest.raises(SnapshotError):
+                Store.load_snapshot(path)
+
     def test_zero_version_rejected(self, tmp_path):
         path = str(tmp_path / "bad.bin")
         with open(path, "wb") as f:
