@@ -5,6 +5,10 @@ same key and is never reused; the version is the unit of optimistic
 validation.  get/put/next_version are individually atomic (one mutex);
 cross-key atomicity is the concurrency-control layers' responsibility.
 
+Values and versions live in two maps, and the version map holds only
+versions above 1: most records in a TPC-C-like store (the order rows) are
+written once, and this saves them a (value, version) pair each.
+
 Deletes are out of scope.  Reads of absent keys raise NotFound, which aborts
 the enclosing transaction; writes to absent keys are inserts (first version
 is 1).
@@ -48,51 +52,65 @@ _U64 = struct.Struct("<Q")
 class Store:
     def __init__(self):
         self._mutex = threading.Lock()
-        self._records: Dict[str, Tuple[Value, int]] = {}
+        self._values: Dict[str, Value] = {}
+        self._versions: Dict[str, int] = {}  # absent = version 1
 
     def get(self, key: str) -> Tuple[Value, int]:
         with self._mutex:
             try:
-                return self._records[key]
+                value = self._values[key]
             except KeyError:
                 raise NotFound(key) from None
+            return value, self._versions.get(key, 1)
+
+    def _version(self, key: str) -> int:
+        """Current version, 0 when absent; the caller holds the mutex."""
+        if key not in self._values:
+            return 0
+        return self._versions.get(key, 1)
+
+    def _install(self, key: str, value: Value, version: int) -> None:
+        """Store one record; the caller holds the mutex."""
+        self._values[key] = value
+        if version > 1:
+            self._versions[key] = version
+        else:
+            self._versions.pop(key, None)
 
     def put(self, key: str, value: Value, version: int) -> None:
         value_kind(value)  # reject unsupported types before they land
         with self._mutex:
-            current = self._records.get(key)
-            expect = 1 if current is None else current[1] + 1
+            expect = self._version(key) + 1
             if version != expect:
                 raise VersionRegression(
                     "put(%r) at version %d, expected %d" % (key, version, expect)
                 )
-            self._records[key] = (value, version)
+            self._install(key, value, version)
 
     def next_version(self, key: str) -> int:
         with self._mutex:
-            current = self._records.get(key)
-            return 1 if current is None else current[1] + 1
+            return self._version(key) + 1
 
     def version(self, key: str) -> int:
         """Current version, 0 when absent.  Validation helper; get() is the
         client-facing read and keeps its NotFound contract."""
         with self._mutex:
-            current = self._records.get(key)
-            return 0 if current is None else current[1]
+            return self._version(key)
 
     def contains(self, key: str) -> bool:
         with self._mutex:
-            return key in self._records
+            return key in self._values
 
     def items(self) -> List[Tuple[str, Value, int]]:
         """Stable key-sorted copy for oracles and snapshots."""
         with self._mutex:
-            return [(k, v, ver)
-                    for k, (v, ver) in sorted(self._records.items())]
+            versions = self._versions
+            return [(k, v, versions.get(k, 1))
+                    for k, v in sorted(self._values.items())]
 
     def values_dict(self) -> Dict[str, Value]:
         with self._mutex:
-            return {k: v for k, (v, _) in self._records.items()}
+            return dict(self._values)
 
     def restore_record(self, key: str, value: Value, version: int) -> None:
         """Install a record at an explicit version, bypassing the successor
@@ -101,7 +119,7 @@ class Store:
         if version < 1:
             raise SnapshotError("record for %r has version %d" % (key, version))
         with self._mutex:
-            self._records[key] = (value, version)
+            self._install(key, value, version)
 
     # -- snapshot ----------------------------------------------------------
 
@@ -182,7 +200,7 @@ class Store:
                                         % (key, version))
                 dest = into(key)
                 with dest._mutex:
-                    dest._records[key] = (value, version)
+                    dest._install(key, value, version)
         except (struct.error, IndexError):
             raise SnapshotError("truncated snapshot at byte %d" % start) from None
         except UnicodeDecodeError:
