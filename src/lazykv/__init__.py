@@ -32,12 +32,14 @@ from .locks import (ConditionEntry, LockManager, LockTimeout, LockUsageError,
                     StampClock, WouldBlock, Wounded)
 from .txn import TxnContext, TxnInactive
 from .meter import MessageMeter
-from .occ import (CommitOutcome, CONDITION_INVALIDATED, NOT_FOUND, OccEngine,
-                  RESOLUTION_ERROR, STALE_READ, WOUNDED_REASON)
+from .commit import (CommitOutcome, CONDITION_INVALIDATED, NOT_FOUND,
+                     PREPARE_TIMEOUT, RESOLUTION_ERROR, STALE_READ,
+                     WOUNDED_REASON)
+from .occ import OccEngine
 from .tpl import TplEngine, UnsupportedCondition
 from .dist import (Cluster, ConfigurationError, DirectoryPartitionMap,
                    DistOutcome, HashPartitionMap, Participant, PartitionMap,
-                   can_skip_extra_round, route, two_pc_commit)
+                   can_skip_extra_round)
 
 __version__ = "0.1.0"
 
@@ -52,11 +54,10 @@ __all__ = [
     "StampClock", "WouldBlock", "Wounded",
     "TxnContext", "TxnInactive",
     "MessageMeter",
-    "CommitOutcome", "CONDITION_INVALIDATED", "NOT_FOUND", "OccEngine",
-    "RESOLUTION_ERROR", "STALE_READ", "WOUNDED_REASON",
+    "CommitOutcome", "CONDITION_INVALIDATED", "NOT_FOUND", "PREPARE_TIMEOUT",
+    "RESOLUTION_ERROR", "STALE_READ", "WOUNDED_REASON", "OccEngine",
     "TplEngine", "UnsupportedCondition",
     "Cluster", "ConfigurationError", "DirectoryPartitionMap", "DistOutcome",
     "HashPartitionMap", "Participant", "PartitionMap", "can_skip_extra_round",
-    "route", "two_pc_commit",
     "__version__",
 ]

@@ -4,8 +4,7 @@ from .oracle import (CommittedTxn, GuardedWriteStep, ReadStep, ScheduleLog,
                      WriteStep, check_serial_equivalence, random_program,
                      random_schedule, run_schedule, slot_read)
 from .runner import (PROTOCOLS, WORKLOADS, ProtocolApi, RunConfig, RunReport,
-                     build_api, make_engine, run, run_assert, run_hotkey,
-                     run_tpcc_lite)
+                     build_api, make_engine, run)
 from .workloads import ClientAbort, make_workload
 
 __all__ = [
@@ -13,6 +12,5 @@ __all__ = [
     "ClientAbort", "CommittedTxn", "GuardedWriteStep", "ReadStep",
     "ScheduleLog", "WriteStep", "build_api", "check_serial_equivalence",
     "make_engine", "make_workload", "random_program", "random_schedule",
-    "run", "run_assert", "run_hotkey", "run_schedule", "run_tpcc_lite",
-    "slot_read",
+    "run", "run_schedule", "slot_read",
 ]

@@ -91,23 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        protocol=args.protocol,
-        workload=args.workload,
-        clients=args.clients,
-        duration=args.duration,
-        ops=args.ops,
-        p=args.p,
-        init=args.init,
-        warehouses=args.warehouses,
-        partitions=args.partitions,
-        policy=args.policy,
-        seed=args.seed,
-        inject_latency_us=args.inject_latency_us,
-        snapshot=args.snapshot,
-        save_snapshot=args.save_snapshot,
-        dump_key=args.dump_key,
-    )
+    # every flag but --csv names the RunConfig field it sets
+    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k != "csv"})
     try:
         report = run(cfg)
     except (ValueError, OSError) as e:

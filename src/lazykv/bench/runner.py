@@ -19,18 +19,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .. import futexpr
+from ..commit import reason_of
 from ..dist import Cluster, DirectoryPartitionMap, HashPartitionMap
 from ..locks import Wounded
 from ..meter import MessageMeter
-from ..occ import OccEngine, WOUNDED_REASON
+from ..occ import OccEngine
 from ..store import NotFound, Store
 from ..tpl import TplEngine
 from .workloads import ClientAbort, make_workload
 
 PROTOCOLS = ("occ", "2pl", "occ-lsd", "2pl-lsd", "occ-lsd+")
 WORKLOADS = ("hotkey", "assert", "tpcc-lite")
-
-NOT_FOUND_REASON = "not_found"
 
 
 @dataclass
@@ -166,66 +165,31 @@ class ProtocolApi:
 
     # -- data placement and inspection (outside any transaction) -----------
 
-    def _is_cluster(self) -> bool:
-        return isinstance(self.engine, Cluster)
-
     def load(self, key, value) -> None:
-        if self._is_cluster():
-            self.engine.load(key, value)
-        else:
-            st = self.engine.store
-            st.put(key, value, st.next_version(key))
+        self.engine.load(key, value)
 
     def load_default(self, key, value) -> None:
-        if self._is_cluster():
-            if not self.engine.store_for(key).contains(key):
-                self.engine.load(key, value)
-        elif not self.engine.store.contains(key):
-            self.load(key, value)
+        if not self.engine.store_for(key).contains(key):
+            self.engine.load(key, value)
 
     def values(self) -> Dict[str, object]:
-        if self._is_cluster():
-            return self.engine.values_dict()
-        return self.engine.store.values_dict()
+        return self.engine.values_dict()
 
     def restore_snapshot(self, path: str) -> None:
-        if self._is_cluster():
-            Store.load_snapshot(path, into=self.engine.store_for)
-        else:
-            store = self.engine.store
-            Store.load_snapshot(path, into=lambda _key: store)
+        self.engine.load_snapshot(path)
 
     def write_snapshot(self, path: str) -> None:
-        if not self._is_cluster():
-            self.engine.store.save_snapshot(path)
-            return
-        merged = Store()
-        for p in self.engine.partitions:
-            for key, value, version in p.store.items():
-                merged.restore_record(key, value, version)
-        merged.save_snapshot(path)
-
-    def _lock_tables(self) -> list:
-        """The latch table (optimistic) or lock manager (locking) of each
-        partition, or of the single engine."""
-        if self._is_cluster():
-            return [p._locks for p in self.engine.partitions]
-        return [self.engine.latches if self.family == "occ"
-                else self.engine.locks]
+        self.engine.save_snapshot(path)
 
     def dump_lock_state(self, key) -> str:
-        if self._is_cluster():
-            return "\n".join(
-                "partition %d: %s" % (p.pid, p._locks.dump_key(key))
-                for p in self.engine.partitions)
-        return self._lock_tables()[0].dump_key(key)
+        return self.engine.dump_key(key)
 
     def dump_queued(self) -> str:
         """Lock state of every key that some transaction waits for."""
-        keys = sorted({k for t in self._lock_tables() for k in t.queued_keys()})
+        keys = self.engine.queued_keys()
         if not keys:
             return "(no key has a waiter)"
-        return "\n".join(self.dump_lock_state(k) for k in keys)
+        return "\n".join(self.engine.dump_key(k) for k in keys)
 
 
 def build_api(cfg: RunConfig) -> ProtocolApi:
@@ -284,15 +248,9 @@ def _client_loop(cid: int, api: ProtocolApi, wl, cfg: RunConfig,
                 ctx.abort()
                 stats.client_aborts += 1
                 break
-            except Wounded:
+            except (Wounded, NotFound) as e:
                 ctx.abort()  # engines abort before raising; keep it local
-                stats.abort_for(WOUNDED_REASON)
-                if cfg.ops is None and time.monotonic() >= t_end:
-                    return
-                continue
-            except NotFound:
-                ctx.abort()
-                stats.abort_for(NOT_FOUND_REASON)
+                stats.abort_for(reason_of(e))
                 if cfg.ops is None and time.monotonic() >= t_end:
                     return
                 continue
@@ -398,21 +356,3 @@ def run(cfg: RunConfig) -> RunReport:
         lock_dump=api.dump_lock_state(cfg.dump_key) if cfg.dump_key else None,
     )
 
-
-def _run_named(cfg: RunConfig, workload: str) -> RunReport:
-    if cfg.workload != workload:
-        raise ValueError("config says workload %r, expected %r"
-                         % (cfg.workload, workload))
-    return run(cfg)
-
-
-def run_hotkey(cfg: RunConfig) -> RunReport:
-    return _run_named(cfg, "hotkey")
-
-
-def run_assert(cfg: RunConfig) -> RunReport:
-    return _run_named(cfg, "assert")
-
-
-def run_tpcc_lite(cfg: RunConfig) -> RunReport:
-    return _run_named(cfg, "tpcc-lite")

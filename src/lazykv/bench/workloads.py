@@ -60,17 +60,21 @@ class Workload:
         # defaults or from a restored snapshot
         self.start: Dict[str, Value] = {}
 
-    def setup(self, api) -> None:
+    def _defaults(self) -> Dict[str, int]:
+        """The checked keys and the value each starts at unless restored."""
         raise NotImplementedError
 
-    def _record_start(self, api, keys: List[str]) -> None:
+    def setup(self, api) -> None:
+        defaults = self._defaults()
+        for key, value in defaults.items():
+            api.load_default(key, value)
         values = api.values()
-        for key in keys:
+        for key in defaults:
             v = values[key]
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError("%s is %r after set-up; the %s workload "
                                  "needs an int there" % (key, v, self.name))
-        self.start = {key: values[key] for key in keys}
+        self.start = {key: values[key] for key in defaults}
 
     def plan(self, rng: random.Random, client: int) -> dict:
         raise NotImplementedError
@@ -98,10 +102,8 @@ class Hotkey(Workload):
     def _keys(self) -> List[str]:
         return [HOT_KEY] + ["c/%d" % c for c in range(self.cfg.clients)]
 
-    def setup(self, api) -> None:
-        for key in self._keys():
-            api.load_default(key, 0)
-        self._record_start(api, self._keys())
+    def _defaults(self) -> Dict[str, int]:
+        return {key: 0 for key in self._keys()}
 
     def plan(self, rng: random.Random, client: int) -> dict:
         hot = rng.randrange(100) < self.cfg.p
@@ -150,10 +152,8 @@ class Assert(Workload):
             return ["c/%d" % c for c in range(self.cfg.clients)]
         return [HOT_KEY]
 
-    def setup(self, api) -> None:
-        for key in self._keys():
-            api.load_default(key, self.cfg.init)
-        self._record_start(api, self._keys())
+    def _defaults(self) -> Dict[str, int]:
+        return {key: self.cfg.init for key in self._keys()}
 
     def plan(self, rng: random.Random, client: int) -> dict:
         return {"key": self._key(client)}
@@ -204,12 +204,6 @@ class TpccLite(Workload):
             for c in range(CUSTOMERS):
                 out["w%d/cust/%d" % (w, c)] = 0
         return out
-
-    def setup(self, api) -> None:
-        defaults = self._defaults()
-        for key, value in defaults.items():
-            api.load_default(key, value)
-        self._record_start(api, list(defaults))
 
     def plan(self, rng: random.Random, client: int) -> dict:
         cfg = self.cfg

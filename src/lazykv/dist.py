@@ -8,28 +8,33 @@ calls through a counting meter, so the observable protocol cost (messages
 and prepare rounds) is exact while the plumbing stays debuggable.
 
 A transaction whose keys all live on one partition commits locally and
-records zero 2PC rounds.  Otherwise:
+records zero 2PC rounds.  Otherwise the commit is the one of commit.py,
+split across the partitions:
 
   round 1   each participant gets its slice: it latches/locks its local
-            write and deferred-read keys, reads the deferred reads, and
-            votes with the values it resolved.  Writes whose key is itself
-            an unresolved expression cannot be prepared yet, unless the
-            key's partition is statically known and all the futures it
-            depends on live there too; in that case the entry rides along
-            in round 1 and the participant resolves it in place.
+            write and deferred-read keys (and, optimistic family, its
+            read-set keys, so that a validated read stays valid until the
+            decision), reads the deferred reads, and votes with the values
+            it read.  Writes whose key is itself an unresolved expression
+            cannot be prepared yet, unless the key's partition is
+            statically known and all the futures it depends on live there
+            too; in that case the entry rides along in round 1 and the
+            participant resolves its key in place.
   round 2   needed exactly when some future write-key could not ride along
             (the skip test failed): the coordinator resolves those keys
             against the merged round-1 values and sends each to its
             partition to be latched/locked.
-  decision  the coordinator resolves every write value, validates asserted
-            conditions against the merged values (optimistic family), and
-            tells each participant to install and release, or to release.
+  decision  the coordinator checks asserted conditions against the merged
+            values (optimistic family), resolves the last write per key,
+            and tells each participant to install and release, or to
+            release.
 
-So: prepare rounds = 1 + (future write-keys present and not skippable),
-exactly.  Participants hold their latches/locks from their prepare until
-the decision; a latch that cannot be had within a short deadline makes the
-participant vote no (watchdog against cross-partition latch cycles), and
-the client retries.
+Each future write-key is resolved once, by its participant or by the
+coordinator.  So: prepare rounds = 1 + (future write-keys present and not
+skippable), exactly.  Participants hold their latches/locks from their
+prepare until the decision; a latch that cannot be had within a short
+deadline makes the participant vote no (watchdog against cross-partition
+latch cycles), and the client retries.
 
 Message schema (tagged in-process records, one request + one response
 message counted per participant per round):
@@ -42,22 +47,22 @@ message counted per participant per round):
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import futexpr
-from .futexpr import Expr, ResolutionError, ResolvedValues, Value, value_kind
-from .locks import LockTimeout, StampClock, Wounded
+from . import futexpr, occ
+from .commit import (ABORTS, Abort, CommitOutcome, FwEntry, FwWrite,
+                     STALE_READ, check_conditions, fw_entries, merge_writes, reason_of,
+                     resolve_fw_keys, resolve_writes, static_intents)
+from .futexpr import Expr, ResolutionError, ResolvedValues, Value
+from .locks import LockTimeout, StampClock
 from .meter import MessageMeter
-from .occ import (CommitOutcome, CONDITION_INVALIDATED, NOT_FOUND,
-                  OccEngine, RESOLUTION_ERROR, STALE_READ, WOUNDED_REASON)
-from .store import NotFound, Store
+from .occ import OccEngine
+from .store import Store
 from .tpl import TplEngine
-from .txn import ABORTED, COMMITTED, TxnContext
+from .txn import ABORTED, COMMITTED, Deployment, TxnContext
 
-PREPARE_TIMEOUT = "prepare_timeout"
 _PREPARE_DEADLINE = 0.25  # seconds a participant will wait for one latch
 
 
@@ -106,21 +111,21 @@ class PartitionMap:
     def static_partition(self, kexpr: Expr) -> Optional[int]:
         """Partition of the key kexpr will resolve to, when that is
         determinable without resolving; None otherwise."""
-        raise NotImplementedError
+        text, complete = _static_str(kexpr)
+        if complete:
+            return self.route(text)
+        return self._prefix_partition(text)
+
+    def _prefix_partition(self, prefix: str) -> Optional[int]:
+        """Partition of every key that starts with prefix, if there is one.
+        Under hashing any unresolved suffix can change the bucket."""
+        return None
 
 
 class HashPartitionMap(PartitionMap):
     def route(self, key: str) -> int:
         # crc32: stable across runs, unlike the salted builtin hash()
         return zlib.crc32(key.encode("utf-8")) % self.n_partitions
-
-    def static_partition(self, kexpr: Expr) -> Optional[int]:
-        # under hashing any unresolved suffix can change the bucket, so the
-        # key must be fully static
-        text, complete = _static_str(kexpr)
-        if complete:
-            return self.route(text)
-        return None
 
 
 class DirectoryPartitionMap(PartitionMap):
@@ -141,10 +146,7 @@ class DirectoryPartitionMap(PartitionMap):
                 return self.entries[prefix]
         raise ConfigurationError("no directory entry matches %r" % key)
 
-    def static_partition(self, kexpr: Expr) -> Optional[int]:
-        text, complete = _static_str(kexpr)
-        if complete:
-            return self.route(text)
+    def _prefix_partition(self, text: str) -> Optional[int]:
         # a longer entry might still match once the suffix resolves; only
         # when no entry extends the static prefix is the match decided
         for prefix in self._by_length:
@@ -184,7 +186,7 @@ class PrepareRequest:
     latch_keys: List[str]
     frset: Dict[futexpr.FutureHandle, str]
     rset: Dict[str, int]
-    ride_along_fw: List[Tuple[Expr, int, Expr]] = field(default_factory=list)
+    ride_along_fw: List[FwEntry] = field(default_factory=list)
     cset_remove: List[Tuple[str, Expr]] = field(default_factory=list)  # locking family
     local_values: Dict[str, Tuple[int, Expr]] = field(default_factory=dict)  # locking family
 
@@ -193,7 +195,7 @@ class PrepareRequest:
 class PrepareVote:
     ok: bool
     rvalues: ResolvedValues = field(default_factory=dict)
-    resolved_fw: List[Tuple[str, int]] = field(default_factory=list)  # (key, seq)
+    resolved_fw: List[FwWrite] = field(default_factory=list)
     reason: Optional[str] = None
 
 
@@ -218,124 +220,86 @@ class Participant:
         self.pid = pid
         self.family = family  # "occ" | "tpl"
         self.store = Store()
-        if family == "occ":
-            self.engine = OccEngine(self.store, clock=clock, meter=meter)
-        else:
-            self.engine = TplEngine(self.store, clock=clock, meter=meter)
+        engine_cls = OccEngine if family == "occ" else TplEngine
+        self.engine = engine_cls(self.store, clock=clock, meter=meter)
+        # latches for the optimistic family, locks for the locking one
+        (self._locks,) = self.engine.tables
 
-    # latches for the optimistic family, locks for the locking one
-    @property
-    def _locks(self):
-        return self.engine.latches if self.family == "occ" else self.engine.locks
+    def _vote(self, ctx: TxnContext, step, req) -> PrepareVote:
+        try:
+            return step(ctx, req)
+        except ABORTS as e:
+            self._locks.release_all(ctx)
+            return PrepareVote(False, reason=reason_of(e))
 
     def prepare(self, ctx: TxnContext, req: PrepareRequest) -> PrepareVote:
         if self.family == "occ":
-            return self._prepare_occ(ctx, req)
-        return self._prepare_tpl(ctx, req)
+            return self._vote(ctx, self._prepare_occ, req)
+        return self._vote(ctx, self._prepare_tpl, req)
+
+    def _read_futures(self, req: PrepareRequest) -> ResolvedValues:
+        return {h: self.store.get(key)[0] for h, key in req.frset.items()}
 
     def _prepare_occ(self, ctx: TxnContext, req: PrepareRequest) -> PrepareVote:
         latches = self.engine.latches
-        try:
-            for key in sorted(req.latch_keys):
+        # read-set keys are latched in the same pass: validated here, they
+        # must stay valid until the decision, while later partitions
+        # prepare.  A read key latched by another transaction is about to
+        # change (as in validate_reads), so it is not waited for.
+        latch_keys = set(req.latch_keys)
+        for key in sorted(latch_keys.union(req.rset)):
+            if key in latch_keys:
                 latches.acquire_write(ctx, key, timeout=_PREPARE_DEADLINE)
-            rvalues: ResolvedValues = {}
-            for h, key in req.frset.items():
-                v, _ver = self.store.get(key)
-                rvalues[h] = v
-            resolved_fw: List[Tuple[str, int]] = []
-            fw_extra: List[str] = []
-            for kexpr, seq, _vexpr in req.ride_along_fw:
-                k = futexpr.resolve(kexpr, rvalues)
-                if value_kind(k) != "str":
-                    raise futexpr.TypeMismatch("write key resolved to %r" % (k,))
-                resolved_fw.append((k, seq))
-                if k not in req.latch_keys:
-                    fw_extra.append(k)
-            for key in sorted(set(fw_extra)):
-                latches.acquire_write(ctx, key, timeout=_PREPARE_DEADLINE)
-            # Silo-style, as in OccEngine.lsd_commit: a read key latched by
-            # another transaction may be about to change
-            for key, ver in req.rset.items():
-                if (self.store.version(key) != ver
-                        or latches.held_by_other(ctx, key)):
-                    latches.release_all(ctx)
-                    return PrepareVote(False, reason=STALE_READ)
-            return PrepareVote(True, rvalues, resolved_fw)
-        except LockTimeout:
-            latches.release_all(ctx)
-            return PrepareVote(False, reason=PREPARE_TIMEOUT)
-        except NotFound:
-            latches.release_all(ctx)
-            return PrepareVote(False, reason=NOT_FOUND)
-        except ResolutionError:
-            latches.release_all(ctx)
-            return PrepareVote(False, reason=RESOLUTION_ERROR)
+                continue
+            try:
+                latches.acquire_write(ctx, key, timeout=0)
+            except LockTimeout:
+                raise Abort(STALE_READ) from None
+        rvalues = self._read_futures(req)
+        resolved_fw = resolve_fw_keys(req.ride_along_fw, rvalues)
+        for key in sorted({k for k, _seq, _v in resolved_fw}
+                          .difference(latch_keys)):
+            latches.acquire_write(ctx, key, timeout=_PREPARE_DEADLINE)
+        occ.validate_reads(ctx, req.rset, self.store, latches)
+        return PrepareVote(True, rvalues, resolved_fw)
 
     def _prepare_tpl(self, ctx: TxnContext, req: PrepareRequest) -> PrepareVote:
         locks = self._locks
-        try:
-            for key in sorted(set(req.frset.values())):
-                locks.acquire_read(ctx, key, timeout=_PREPARE_DEADLINE)
-            rvalues: ResolvedValues = {}
-            for h, key in req.frset.items():
-                v, _ver = self.store.get(key)
-                rvalues[h] = v
-            for key, cond in req.cset_remove:
-                locks.rem_condition(ctx, key, cond)
-            resolved_fw: List[Tuple[str, int]] = []
-            pending: Dict[str, Tuple[int, Expr]] = dict(req.local_values)
-            for kexpr, seq, vexpr in req.ride_along_fw:
-                k = futexpr.resolve(kexpr, rvalues)
-                if value_kind(k) != "str":
-                    raise futexpr.TypeMismatch("write key resolved to %r" % (k,))
-                resolved_fw.append((k, seq))
-                if k not in pending or seq > pending[k][0]:
-                    pending[k] = (seq, vexpr)
-            for key in sorted(pending):
-                _seq, vexpr = pending[key]
-                if vexpr.handles <= rvalues.keys():
-                    v = futexpr.resolve(vexpr, rvalues)
-                    locks.acquire_write_value(ctx, key, v,
-                                              timeout=_PREPARE_DEADLINE)
-                else:
-                    # value needs values from other partitions: hold the key
-                    # exclusively, the decision brings the resolved value
-                    locks.acquire_write(ctx, key, timeout=_PREPARE_DEADLINE)
-            return PrepareVote(True, rvalues, resolved_fw)
-        except (Wounded,):
-            locks.release_all(ctx)
-            return PrepareVote(False, reason=WOUNDED_REASON)
-        except LockTimeout:
-            locks.release_all(ctx)
-            return PrepareVote(False, reason=PREPARE_TIMEOUT)
-        except NotFound:
-            locks.release_all(ctx)
-            return PrepareVote(False, reason=NOT_FOUND)
-        except ResolutionError:
-            locks.release_all(ctx)
-            return PrepareVote(False, reason=RESOLUTION_ERROR)
+        for key in sorted(set(req.frset.values())):
+            locks.acquire_read(ctx, key, timeout=_PREPARE_DEADLINE)
+        rvalues = self._read_futures(req)
+        for key, cond in req.cset_remove:
+            locks.rem_condition(ctx, key, cond)
+        resolved_fw = resolve_fw_keys(req.ride_along_fw, rvalues)
+        pending = merge_writes(dict(req.local_values), resolved_fw)
+        for key in sorted(pending):
+            _seq, vexpr = pending[key]
+            if vexpr.handles <= rvalues.keys():
+                v = futexpr.resolve(vexpr, rvalues)
+                locks.acquire_write_value(ctx, key, v,
+                                          timeout=_PREPARE_DEADLINE)
+            else:
+                # value needs values from other partitions: hold the key
+                # exclusively, the decision brings the resolved value
+                locks.acquire_write(ctx, key, timeout=_PREPARE_DEADLINE)
+        return PrepareVote(True, rvalues, resolved_fw)
 
     def prepare2(self, ctx: TxnContext, req: Prepare2Request) -> PrepareVote:
+        return self._vote(ctx, self._prepare2, req)
+
+    def _prepare2(self, ctx: TxnContext, req: Prepare2Request) -> PrepareVote:
         locks = self._locks
-        try:
-            for key, value in sorted(req.fw_writes):
-                if self.family == "occ" or value is None:
-                    locks.acquire_write(ctx, key, timeout=_PREPARE_DEADLINE)
-                else:
-                    locks.acquire_write_value(ctx, key, value,
-                                              timeout=_PREPARE_DEADLINE)
-            return PrepareVote(True)
-        except (Wounded,):
-            locks.release_all(ctx)
-            return PrepareVote(False, reason=WOUNDED_REASON)
-        except LockTimeout:
-            locks.release_all(ctx)
-            return PrepareVote(False, reason=PREPARE_TIMEOUT)
+        for key, value in sorted(req.fw_writes):
+            if self.family == "occ" or value is None:
+                locks.acquire_write(ctx, key, timeout=_PREPARE_DEADLINE)
+            else:
+                locks.acquire_write_value(ctx, key, value,
+                                          timeout=_PREPARE_DEADLINE)
+        return PrepareVote(True)
 
     def decide(self, ctx: TxnContext, req: DecisionRequest) -> None:
         if req.commit:
-            for key in sorted(req.writes):
-                self.store.put(key, req.writes[key], self.store.next_version(key))
+            self.store.put_all(req.writes)
         self._locks.release_all(ctx)
 
 
@@ -347,7 +311,7 @@ class DistOutcome(CommitOutcome):
     messages: int = 0
 
 
-class Cluster:
+class Cluster(Deployment):
     """A partitioned deployment with the same client surface as a local
     engine, plus round/message accounting on commit outcomes."""
 
@@ -357,11 +321,13 @@ class Cluster:
             raise ConfigurationError("unknown engine family %r" % family)
         self.pm = pm
         self.family = family
-        self.meter = meter or MessageMeter(latency_us)
-        self.clock = StampClock()
-        self.partitions = [Participant(pid, family, self.clock, self.meter)
+        clock, meter = StampClock(), meter or MessageMeter(latency_us)
+        self.partitions = [Participant(pid, family, clock, meter)
                            for pid in range(pm.n_partitions)]
-        self._ids = itertools.count(1)
+        super().__init__([p.store for p in self.partitions],
+                         [p._locks for p in self.partitions], clock, meter)
+
+    begin = Deployment.begin
 
     # -- plumbing ----------------------------------------------------------
 
@@ -371,97 +337,39 @@ class Cluster:
     def store_for(self, key: str) -> Store:
         return self.part(key).store
 
-    def load(self, key: str, value: Value) -> None:
-        """Initial data placement, outside any transaction."""
-        st = self.store_for(key)
-        st.put(key, value, st.next_version(key))
-
-    def values_dict(self) -> Dict[str, Value]:
-        out: Dict[str, Value] = {}
-        for p in self.partitions:
-            out.update(p.store.values_dict())
-        return out
-
-    def begin(self, stamp: Optional[int] = None) -> TxnContext:
-        if stamp is None:
-            stamp = self.clock.next()
-        return TxnContext(next(self._ids), stamp, engine=self)
-
-    def on_abort(self, ctx: TxnContext) -> None:
-        for p in self.partitions:
-            p._locks.release_all(ctx)
-
     # -- routed execution-time operations ----------------------------------
 
     def classic_read(self, ctx: TxnContext, key: str) -> Value:
         return self.part(key).engine.classic_read(ctx, key)
 
+    def _only(self, family: str, op: str) -> None:
+        """Refuse op on a deployment of the other family, as the engine of
+        that family lacks it."""
+        if self.family != family:
+            raise ConfigurationError("%s needs the %s family" % (op, family))
+
     def classic_write(self, ctx: TxnContext, key: str, v: Value) -> None:
-        if self.family != "tpl":
-            raise ConfigurationError("classic_write is a locking-family op")
+        self._only("tpl", "classic_write")
         self.part(key).engine.classic_write(ctx, key, v)
 
     def lsd_read_future_key(self, ctx: TxnContext, k: Expr) -> Expr:
         # handles may live anywhere; each partition contacted costs a message
-        ctx.require_active()
-        pids = set()
-        try:
-            for h in k.handles:
-                if h not in ctx.eager_values:
-                    key = ctx.frset[h]
-                    pid = self.pm.route(key)
-                    pids.add(pid)
-                    v, ver = self.partitions[pid].store.get(key)
-                    ctx.rset.setdefault(key, ver)
-                    ctx.eager_values[h] = v
-            key = futexpr.resolve(k, ctx.eager_values)
-            if value_kind(key) != "str":
-                raise futexpr.TypeMismatch("key expression resolved to %r" % (key,))
-            if ctx.buffered_write(key) is None:
-                pid = self.pm.route(key)
-                pids.add(pid)
-                _v, ver = self.partitions[pid].store.get(key)
-                ctx.rset.setdefault(key, ver)
-        except (NotFound, ResolutionError):
-            ctx.abort()
-            raise
-        self.meter.trip("read_key", messages=max(1, len(pids)))
-        return futexpr.read_future(key, ctx)
+        self._only("occ", "lsd_read_future_key")
+        return occ.read_future_key(self, ctx, k)
 
     def lsd_is_true(self, ctx: TxnContext, cond: Expr) -> bool:
+        if self.family == "occ":
+            return occ.is_true(self, ctx, cond)
         handles = cond.handles
-        if self.family == "tpl":
-            if not handles:
-                return self.partitions[0].engine.lsd_is_true(ctx, cond)
-            key = ctx.frset[next(iter(handles))]
-            return self.part(key).engine.lsd_is_true(ctx, cond)
-        # optimistic: point-read each key on its partition
-        ctx.require_active()
-        vals: ResolvedValues = {}
-        pids = set()
-        try:
-            for h in handles:
-                key = ctx.frset[h]
-                pid = self.pm.route(key)
-                pids.add(pid)
-                v, _ver = self.partitions[pid].store.get(key)
-                vals[h] = v
-            result = futexpr.resolve(cond, vals)
-            if value_kind(result) != "bool":
-                raise futexpr.TypeMismatch("condition resolved to %r" % (result,))
-        except (NotFound, ResolutionError):
-            ctx.abort()
-            raise
-        if pids:
-            self.meter.trip("is_true", messages=len(pids))
-        ctx.cset.append((cond, result))
-        return result
+        if not handles:
+            return self.partitions[0].engine.lsd_is_true(ctx, cond)
+        key = ctx.key_of(next(iter(handles)))
+        return self.part(key).engine.lsd_is_true(ctx, cond)
 
     def lsd_is_true_speculative(self, ctx: TxnContext, cond: Expr,
                                 assumed: bool) -> bool:
-        ctx.require_active()
-        ctx.cset.append((cond, bool(assumed)))
-        return bool(assumed)
+        self._only("occ", "lsd_is_true_speculative")
+        return occ.is_true_speculative(ctx, cond, assumed)
 
     # -- commit ------------------------------------------------------------
 
@@ -500,10 +408,13 @@ class Cluster:
                 fw_pids: List[Optional[int]]) -> DistOutcome:
         """where routes every key of wset, frset and rset; fw_pids holds
         each future write-key's static partition, in fwset order."""
-        pm = self.pm
+        fw = fw_entries(ctx)
         skip = _rides_along(ctx, fw_pids, where.__getitem__)
-        extra_round_needed = bool(ctx.fwset) and not skip
-        messages = 0
+
+        def route(key: str) -> int:
+            if key not in where:
+                where[key] = self.pm.route(key)
+            return where[key]
 
         # slice per partition
         reqs: Dict[int, PrepareRequest] = {}
@@ -525,8 +436,8 @@ class Cluster:
         for key, ver in ctx.rset.items():
             req_for(where[key]).rset[key] = ver
         if skip:
-            for (kexpr, vexpr), seq, pid in zip(ctx.fwset, ctx.fwseq, fw_pids):
-                req_for(pid).ride_along_fw.append((kexpr, seq, vexpr))
+            for entry, pid in zip(fw, fw_pids):
+                req_for(pid).ride_along_fw.append(entry)
         if self.family == "tpl":
             for cond, _expected in ctx.cset:
                 handles = cond.handles
@@ -537,101 +448,50 @@ class Cluster:
 
         pids = sorted(reqs)
         self.meter.trip("prepare", messages=2 * len(pids))
-        messages += 2 * len(pids)
+        messages = 2 * len(pids)
         rvalues: ResolvedValues = {}
-        resolved_fw: List[Tuple[str, int]] = []
-        votes: Dict[int, PrepareVote] = {}
-        for pid in pids:
-            vote = self.partitions[pid].prepare(ctx, reqs[pid])
-            votes[pid] = vote
+        resolved_fw: List[FwWrite] = []  # ride-along keys, resolved in place
+        votes = [self.partitions[pid].prepare(ctx, reqs[pid]) for pid in pids]
+        for vote in votes:
             if vote.ok:
                 rvalues.update(vote.rvalues)
                 resolved_fw.extend(vote.resolved_fw)
-        bad = [v for v in votes.values() if not v.ok]
+        bad = [v.reason for v in votes if not v.ok]
         if bad:
-            ok_pids = [pid for pid in pids if votes[pid].ok]
-            return self._abort_everywhere(ctx, ok_pids, bad[0].reason,
-                                          rvalues, 1, messages)
+            ok_pids = [pid for pid, v in zip(pids, votes) if v.ok]
+            return self._abort_everywhere(ctx, ok_pids, bad[0], rvalues, 1,
+                                          messages)
 
         rounds = 1
         contacted = set(pids)
-        fw_values: Dict[str, Tuple[int, Expr]] = {}
-        if extra_round_needed:
-            try:
-                for (kexpr, vexpr), seq in zip(ctx.fwset, ctx.fwseq):
-                    k = futexpr.resolve(kexpr, rvalues)
-                    if value_kind(k) != "str":
-                        raise futexpr.TypeMismatch("write key resolved to %r" % (k,))
-                    resolved_fw.append((k, seq))
-                    if k not in fw_values or seq > fw_values[k][0]:
-                        fw_values[k] = (seq, vexpr)
-            except ResolutionError:
-                return self._abort_everywhere(ctx, pids, RESOLUTION_ERROR,
-                                              rvalues, rounds, messages)
-            by_pid: Dict[int, List[Tuple[str, Optional[Value]]]] = {}
-            for k, (seq, vexpr) in fw_values.items():
-                value: Optional[Value] = None
-                if self.family == "tpl":
-                    try:
-                        value = futexpr.resolve(vexpr, rvalues)
-                    except ResolutionError:
-                        return self._abort_everywhere(
-                            ctx, pids, RESOLUTION_ERROR, rvalues, rounds, messages)
-                if k not in where:
-                    where[k] = pm.route(k)
-                by_pid.setdefault(where[k], []).append((k, value))
-            rounds = 2
-            p2pids = sorted(by_pid)
-            self.meter.trip("prepare", messages=2 * len(p2pids))
-            messages += 2 * len(p2pids)
-            for pid in p2pids:
-                contacted.add(pid)
-                vote = self.partitions[pid].prepare2(
-                    ctx, Prepare2Request(by_pid[pid]))
-                if not vote.ok:
-                    return self._abort_everywhere(ctx, sorted(contacted),
-                                                  vote.reason, rvalues,
-                                                  rounds, messages)
-
-        # optimistic family: conditions are checked here, against the merged
-        # latched reads; the locking family enforced them with lock modes
-        if self.family == "occ":
-            for cond, expected in ctx.cset:
-                try:
-                    got = futexpr.resolve(cond, rvalues)
-                except ResolutionError:
-                    return self._abort_everywhere(ctx, sorted(contacted),
-                                                  RESOLUTION_ERROR, rvalues,
-                                                  rounds, messages)
-                if got != expected:
-                    return self._abort_everywhere(ctx, sorted(contacted),
-                                                  CONDITION_INVALIDATED, rvalues,
-                                                  rounds, messages)
-
-        intents: Dict[str, Tuple[int, Expr]] = {}
-        for key, e in ctx.wset.items():
-            intents[key] = (ctx.wseq[key], e)
-        for (kexpr, vexpr), seq in zip(ctx.fwset, ctx.fwseq):
-            try:
-                k = futexpr.resolve(kexpr, rvalues)
-            except ResolutionError:
-                return self._abort_everywhere(ctx, sorted(contacted),
-                                              RESOLUTION_ERROR, rvalues,
-                                              rounds, messages)
-            if k not in intents or seq > intents[k][0]:
-                intents[k] = (seq, vexpr)
         try:
-            writes = {key: futexpr.resolve(e, rvalues)
-                      for key, (_seq, e) in intents.items()}
-        except ResolutionError:
-            return self._abort_everywhere(ctx, sorted(contacted),
-                                          RESOLUTION_ERROR, rvalues,
-                                          rounds, messages)
+            if fw and not skip:
+                resolved_fw = resolve_fw_keys(fw, rvalues)
+                by_pid: Dict[int, List[Tuple[str, Optional[Value]]]] = {}
+                for k, (_seq, vexpr) in merge_writes({}, resolved_fw).items():
+                    value = (futexpr.resolve(vexpr, rvalues)
+                             if self.family == "tpl" else None)
+                    by_pid.setdefault(route(k), []).append((k, value))
+                rounds = 2
+                p2pids = sorted(by_pid)
+                self.meter.trip("prepare", messages=2 * len(p2pids))
+                messages += 2 * len(p2pids)
+                for pid in p2pids:
+                    contacted.add(pid)
+                    vote = self.partitions[pid].prepare2(
+                        ctx, Prepare2Request(by_pid[pid]))
+                    if not vote.ok:
+                        raise Abort(vote.reason)
+            # the locking family enforced conditions with lock modes
+            if self.family == "occ":
+                check_conditions(ctx.cset, rvalues)
+            writes = resolve_writes(
+                merge_writes(static_intents(ctx), resolved_fw), rvalues)
+        except ABORTS as e:
+            return self._abort_everywhere(ctx, sorted(contacted), reason_of(e),
+                                          rvalues, rounds, messages)
 
-        for k in writes:
-            if k not in where:
-                where[k] = pm.route(k)
-        decide_pids = sorted(contacted | {where[k] for k in writes})
+        decide_pids = sorted(contacted.union(map(route, writes)))
         by_pid_writes: Dict[int, Dict[str, Value]] = {pid: {} for pid in decide_pids}
         for k, v in writes.items():
             by_pid_writes[where[k]][k] = v
@@ -643,14 +503,3 @@ class Cluster:
         ctx.status = COMMITTED
         return DistOutcome(True, rvalues, None,
                            prepare_rounds=rounds, messages=messages)
-
-    # explicit name for the distributed commit entry point
-    two_pc_commit = lsd_commit
-
-
-def route(pm: PartitionMap, key: str) -> int:
-    return pm.route(key)
-
-
-def two_pc_commit(cluster: Cluster, ctx: TxnContext) -> DistOutcome:
-    return cluster.lsd_commit(ctx)

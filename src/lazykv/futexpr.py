@@ -21,6 +21,7 @@ single-threaded (one client thread per transaction).
 
 from __future__ import annotations
 
+import operator
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Tuple, Union)
 
@@ -235,6 +236,30 @@ def _check_int(v: int) -> int:
     return v
 
 
+# operator kind -> (operand types it accepts, function); the operands of a
+# binary operator must also be of one type
+_OPS = {
+    "add": ((int,), lambda a, b: _check_int(a + b)),
+    "sub": ((int,), lambda a, b: _check_int(a - b)),
+    "concat": ((str,), operator.add),
+    "ge": ((int, str), operator.ge),
+    "gt": ((int, str), operator.gt),
+    "le": ((int, str), operator.le),
+    "lt": ((int, str), operator.lt),
+    "eq": ((int, str, bool), operator.eq),
+    "and": ((bool,), lambda a, b: a and b),
+    "or": ((bool,), lambda a, b: a or b),
+    "not": ((bool,), operator.not_),
+    "str": ((int,), str),
+}
+_TYPE_OF_KIND = {"int": int, "str": str, "bool": bool}
+
+
+def _kind_type(v: Value) -> type:
+    """The built-in type v counts as (an int subclass counts as int)."""
+    return _TYPE_OF_KIND[value_kind(v)]
+
+
 def resolve(e: Expr, rv: ResolvedValues) -> Value:
     """Evaluate e bottom-up against the handle bindings in rv.
 
@@ -252,78 +277,24 @@ def resolve(e: Expr, rv: ResolvedValues) -> Value:
             return rv[e.handle]
         except KeyError:
             raise UnboundHandle("no value bound for %r" % (e.handle,)) from None
+    types, fn = _OPS[k]
     ch = e.children
     a = resolve(ch[0], rv)
-    ta = a.__class__
     if len(ch) == 1:
-        if k == "not" and ta is bool:
-            return not a
-        if k == "str" and ta is int:
-            return str(a)
-        return _apply_checked(k, [a])
+        if a.__class__ in types or _kind_type(a) in types:
+            return fn(a)
+        raise TypeMismatch("%s needs a %s operand, got %s"
+                           % (k, types[0].__name__, value_kind(a)))
     b = resolve(ch[1], rv)
-    # fast paths for operands of the exact built-in types; anything else,
-    # errors included, goes through the kind-checked path below
-    if ta is b.__class__:
-        if ta is int:
-            if k == "add":
-                return _check_int(a + b)
-            if k == "sub":
-                return _check_int(a - b)
-        if k == "eq" and (ta is int or ta is str or ta is bool):
-            return a == b
-        if ta is int or ta is str:
-            if k == "ge":
-                return a >= b
-            if k == "gt":
-                return a > b
-            if k == "le":
-                return a <= b
-            if k == "lt":
-                return a < b
-            if k == "concat" and ta is str:
-                return a + b
-        if ta is bool:
-            if k == "and":
-                return a and b
-            if k == "or":
-                return a or b
-    return _apply_checked(k, [a, b])
-
-
-def _apply_checked(k: str, vals: List[Value]) -> Value:
-    """Apply operator k to evaluated operands, checking their kinds."""
-    kinds = [value_kind(v) for v in vals]
-    if k in ("add", "sub"):
-        if kinds != ["int", "int"]:
-            raise TypeMismatch("%s needs int operands, got %s" % (k, kinds))
-        return _check_int(vals[0] + vals[1] if k == "add" else vals[0] - vals[1])
-    if k == "concat":
-        if kinds != ["str", "str"]:
-            raise TypeMismatch("concat needs str operands, got %s" % kinds)
-        return vals[0] + vals[1]
-    if k == "str":
-        if kinds != ["int"]:
-            raise TypeMismatch("str needs an int operand, got %s" % kinds)
-        return str(vals[0])
-    if k in ("ge", "gt", "le", "lt"):
-        if kinds[0] != kinds[1] or kinds[0] not in ("int", "str"):
-            raise TypeMismatch("%s needs same-kind int or str operands, got %s" % (k, kinds))
-        a, b = vals
-        return {"ge": a >= b, "gt": a > b, "le": a <= b, "lt": a < b}[k]
-    if k == "eq":
-        if kinds[0] != kinds[1]:
-            raise TypeMismatch("eq needs same-kind operands, got %s" % kinds)
-        return vals[0] == vals[1]
-    if k in ("and", "or"):
-        if kinds != ["bool", "bool"]:
-            raise TypeMismatch("%s needs bool operands, got %s" % (k, kinds))
-        return (vals[0] and vals[1]) if k == "and" else (vals[0] or vals[1])
-    if k == "not":
-        if kinds != ["bool"]:
-            raise TypeMismatch("not needs a bool operand, got %s" % kinds)
-        return not vals[0]
-    raise AssertionError("unreachable kind %r" % k)
+    ta = a.__class__
+    if ta is b.__class__ and ta in types:
+        return fn(a, b)
+    ta, tb = _kind_type(a), _kind_type(b)
+    if ta is tb and ta in types:
+        return fn(a, b)
+    raise TypeMismatch("%s needs two %s operands of one kind, got %s and %s"
+                       % (k, " or ".join(t.__name__ for t in types),
+                          ta.__name__, tb.__name__))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,12 @@ Design rules:
     keep the waits-for relation, holder edges and queue edges alike, free
     of older-waits-on-unwounded-younger pairs, which is what makes it
     acyclic.
+  - Value drift adds holder edges without any new holder: a parked
+    function-valued W(v) request gets a fresh candidate at every grant
+    attempt, and a candidate that preserved a younger holder's condition
+    when the request parked may violate it later.  So when the grant walk
+    finds such a request incompatible at the queue front, it wounds the
+    request's younger blockers, exactly as parking does.
 """
 
 from __future__ import annotations
@@ -278,13 +284,9 @@ class LockManager:
             if txn.stamp not in st.readers:
                 raise LockUsageError(
                     "add_condition(%r) without a held read lock" % key)
-            for e in st.conditions:
-                if e.owner is txn and e.cond == cond:
-                    e.expected = expected  # idempotent per (txn, cond)
-                    return
-            st.conditions.append(ConditionEntry(cond, expected, txn, h))
-            self._note_held(txn, key)
-            self._wound_younger_holder_vs_waiters(st, txn)
+            req = _Request(txn, "rc", cond=cond, expected=expected, handle=h)
+            if self._install(st, req, key):  # idempotent per (txn, cond)
+                self._wound_younger_holder_vs_waiters(st, txn)
 
     def rem_condition(self, txn, key: str, cond: Expr) -> None:
         """Remove this txn's entry; absent entry is a no-op.  Never checks
@@ -452,33 +454,6 @@ class LockManager:
                        and (m == "w" or not _entry_satisfied(e, req.value)))
         return out
 
-    def _conflicts_with_new_holder(self, req: _Request, holder, st: _KeyState) -> bool:
-        """Would the new holder's hold alone block req?"""
-        if holder is req.owner:
-            return False
-        self._refresh(req)
-        if st.writer is holder:
-            if st.writer_mode == "w":
-                return True
-            if req.mode in ("r", "w", "wv"):
-                return True
-            if st.writer_value is UNRESOLVABLE:
-                return True
-            try:  # rc vs pending value
-                return resolve(req.cond, {req.handle: st.writer_value}) != req.expected
-            except ResolutionError:
-                return True
-        if holder.stamp in st.readers and st.readers[holder.stamp] is holder:
-            if req.mode in ("w", "wv"):
-                return True
-        for e in st.conditions:
-            if e.owner is holder:
-                if req.mode == "w":
-                    return True
-                if req.mode == "wv" and not _entry_satisfied(e, req.value):
-                    return True
-        return False
-
     def _install(self, st: _KeyState, req: _Request, key: str) -> bool:
         """Apply a granted request to the key state.  Returns True when the
         grant added holdership (rather than being a reentrant no-op)."""
@@ -529,6 +504,8 @@ class LockManager:
 
     def _wound_younger_blockers(self, st: _KeyState, req: _Request) -> None:
         self._refresh(req)
+        # the list is complete before any wound: wounding unparks the
+        # victim, which edits the queue
         for blocker in self._blockers(st, req):
             if blocker.stamp > req.owner.stamp:
                 self._wound(blocker)
@@ -560,10 +537,11 @@ class LockManager:
         """New holder installed; wound it if an older parked waiter on this
         key conflicts with the new hold."""
         for waiter in st.queue:
-            if (waiter.owner.stamp < holder.stamp
-                    and self._conflicts_with_new_holder(waiter, holder, st)):
-                self._wound(holder)
-                return
+            if waiter.owner.stamp < holder.stamp:
+                self._refresh(waiter)
+                if any(b is holder for b in self._blockers(st, waiter)):
+                    self._wound(holder)
+                    return
 
     def _grant_walk(self, st: _KeyState) -> None:
         """Grant queued requests front-to-back, stopping at the first
@@ -577,6 +555,8 @@ class LockManager:
                 continue
             self._refresh(req)
             if not self._compatible(st, req):
+                if req.value_fn is not None:  # the candidate may have drifted
+                    self._wound_younger_blockers(st, req)
                 return
             st.queue.pop(0)
             self._parked.pop(req.owner.stamp, None)

@@ -3,21 +3,17 @@
 Classic transactions read eagerly (recording versions), buffer concrete
 writes, and validate the whole read set at commit.  Future-aware
 transactions defer reads (futures), write expressions, and assert
-conditions; commit then:
-
-  1. latches the written keys and the deferred-read keys, in sorted order,
-  2. reads every deferred-read key into rvalues,
-  3. resolves future write-keys against rvalues, latching them too,
-  4. validates the recorded reads,
-  5. re-resolves every asserted condition against rvalues and compares it
-     to the result the transaction observed,
-  6. resolves the write expressions and installs them with fresh versions,
-  7. unlatches and returns the resolved values to the client.
+conditions.  Commit latches the written keys and the deferred-read keys in
+sorted order, reads the deferred reads, latches the future write-keys once
+they resolve, validates the recorded reads, and then runs the shared steps
+of commit.py: asserted conditions are re-resolved against the latched
+reads and compared with the results the transaction observed, and the
+last write per key is resolved and installed.
 
 Condition checks read the current value at call time but record no
-version; the commit-time re-evaluation (step 5) is the sole guard.  That
-is what lets a condition survive concurrent writes that preserve its
-truth, where a version check would abort.
+version; the commit-time re-evaluation is the sole guard.  That is what
+lets a condition survive concurrent writes that preserve its truth, where
+a version check would abort.
 
 Latches live in a LatchTable: one plain exclusive lock per key in flight,
 taken in sorted key order (deadlock-free).  They never wound anyone, so a
@@ -26,49 +22,38 @@ cannot abort.  If resolving a future write-key produces a key that is not
 latched yet, commit releases everything and restarts with the larger latch
 set, keeping the sorted order global.
 
-Read-set keys are not latched.  Step 4 validates them the way Silo does
-(Tu et al., SOSP 2013): a key passes only if its version is unchanged *and*
-no other transaction holds its latch.  A transaction that holds the latch
-may be about to install a new version, so a reader validating against it
-must abort; checking the version alone lets two transactions that each
-read what the other writes both commit (write skew).
+Read-set keys are not latched.  validate_reads checks them the way Silo
+does (Tu et al., SOSP 2013): a key passes only if its version is unchanged
+*and* no other transaction holds its latch.  A transaction that holds the
+latch may be about to install a new version, so a reader validating
+against it must abort; checking the version alone lets two transactions
+that each read what the other writes both commit (write skew).
 
-Speculative condition checks (the + variant) record an assumed result with
-zero storage contact; commit arbitrates.  A wrong assumption costs one
-abort, a right one saves the round trip.
+The execution-time reads (is_true, read_future_key) take any deployment's
+key -> store lookup, so Cluster's optimistic family runs the same code and
+pays one message per store it touches.  Speculative condition checks (the
++ variant) record an assumed result with zero storage contact; commit
+arbitrates.  A wrong assumption costs one abort, a right one saves the
+round trip.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from . import futexpr
-from .futexpr import Expr, ResolutionError, ResolvedValues, Value, value_kind
+from .commit import (ABORTS, Abort, CommitOutcome, RESOLUTION_ERROR,
+                     STALE_READ, check_conditions, fw_entries, merge_writes,
+                     reason_of, resolve_as, resolve_fw_keys, resolve_writes,
+                     static_intents)
+from .futexpr import Expr, ResolutionError, ResolvedValues, Value
 from .locks import LockTimeout, StampClock
 from .meter import MessageMeter
 from .store import NotFound, Store
-from .txn import ABORTED, COMMITTED, TxnContext
-
-STALE_READ = "stale_read"
-CONDITION_INVALIDATED = "condition_invalidated"
-NOT_FOUND = "not_found"
-RESOLUTION_ERROR = "resolution_error"
-WOUNDED_REASON = "wounded"
+from .txn import COMMITTED, Deployment, TxnContext
 
 _MAX_LATCH_RESTARTS = 32
-
-
-@dataclass
-class CommitOutcome:
-    committed: bool
-    rvalues: ResolvedValues = field(default_factory=dict)
-    reason: Optional[str] = None
-
-    def __bool__(self):
-        return self.committed
 
 
 class _Latch:
@@ -165,26 +150,86 @@ class LatchTable:
                 key, holder, latch.users - 1)
 
 
-class OccEngine:
+def is_true(dep, ctx: TxnContext, cond: Expr) -> bool:
+    """Assert a predicate on deployment dep: evaluate it against current
+    values (point reads, no version recorded) and remember the result for
+    commit-time re-validation."""
+    ctx.require_active()
+    located = []
+    touched = set()
+    vals: ResolvedValues = {}
+    try:
+        for h in cond.handles:
+            key = ctx.key_of(h)
+            st = dep.store_for(key)
+            touched.add(st)
+            located.append((h, key, st))
+        if touched:
+            dep.meter.trip("is_true", messages=len(touched))
+        for h, key, st in located:
+            vals[h] = st.get(key)[0]
+        result = resolve_as("bool", "condition", cond, vals)
+    except (NotFound, ResolutionError):
+        ctx.abort()
+        raise
+    ctx.cset.append((cond, result))
+    return result
+
+
+def read_future_key(dep, ctx: TxnContext, k: Expr) -> Expr:
+    """Read through a key-valued expression on deployment dep: eagerly
+    resolve the key (reading and version-recording whatever futures it
+    needs), record the resolved key's version too, and hand back a fresh
+    future for its value.  The value stays lazy."""
+    ctx.require_active()
+    touched = set()
+    try:
+        for h in k.handles:
+            if h in ctx.eager_values:
+                continue
+            key = ctx.key_of(h)
+            st = dep.store_for(key)
+            touched.add(st)
+            v, ver = st.get(key)
+            ctx.rset.setdefault(key, ver)
+            ctx.eager_values[h] = v
+        key = resolve_as("str", "key expression", k, ctx.eager_values)
+        if ctx.buffered_write(key) is None:
+            st = dep.store_for(key)
+            touched.add(st)
+            ctx.rset.setdefault(key, st.get(key)[1])
+    except (NotFound, ResolutionError):
+        ctx.abort()
+        raise
+    dep.meter.trip("read_key", messages=max(1, len(touched)))
+    return futexpr.read_future(key, ctx)
+
+
+def is_true_speculative(ctx: TxnContext, cond: Expr, assumed: bool) -> bool:
+    """Assume the predicate's result without touching storage; the
+    commit-time check arbitrates.  Zero messages."""
+    ctx.require_active()
+    ctx.cset.append((cond, bool(assumed)))
+    return bool(assumed)
+
+
+def validate_reads(ctx: TxnContext, rset: Dict[str, int], store: Store,
+                   latches: LatchTable) -> None:
+    """Silo-style read validation: a key passes if its version is unchanged
+    and no other transaction holds its latch."""
+    for key, ver in rset.items():
+        if store.version(key) != ver or latches.held_by_other(ctx, key):
+            raise Abort(STALE_READ)
+
+
+class OccEngine(Deployment):
     def __init__(self, store: Store, clock: Optional[StampClock] = None,
                  meter: Optional[MessageMeter] = None):
         self.store = store
-        self.clock = clock or StampClock()
-        self.meter = meter or MessageMeter()
         self.latches = LatchTable()
-        self._ids = itertools.count(1)
+        super().__init__([store], [self.latches], clock, meter)
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def begin(self, stamp: Optional[int] = None) -> TxnContext:
-        """Start a transaction.  Purely local.  A retry of an aborted
-        transaction passes its old stamp to keep its wound-wait age."""
-        if stamp is None:
-            stamp = self.clock.next()
-        return TxnContext(next(self._ids), stamp, engine=self)
-
-    def on_abort(self, ctx: TxnContext) -> None:
-        self.latches.release_all(ctx)
+    begin = Deployment.begin
 
     # -- reads and conditions ----------------------------------------------
 
@@ -204,138 +249,47 @@ class OccEngine:
         return v
 
     def lsd_read_future_key(self, ctx: TxnContext, k: Expr) -> Expr:
-        """Read through a key-valued expression: eagerly resolve the key
-        (reading and version-recording whatever futures it needs), record
-        the resolved key's version too, and hand back a fresh future for
-        its value.  The value stays lazy."""
-        ctx.require_active()
-        self.meter.trip("read_key")
-        try:
-            for h in k.handles:
-                if h in ctx.eager_values:
-                    continue
-                if h not in ctx.frset:
-                    raise futexpr.UnboundHandle("foreign handle %r" % (h,))
-                v, ver = self.store.get(ctx.frset[h])
-                ctx.rset.setdefault(ctx.frset[h], ver)
-                ctx.eager_values[h] = v
-            key = futexpr.resolve(k, ctx.eager_values)
-            if value_kind(key) != "str":
-                raise futexpr.TypeMismatch("key expression resolved to %r" % (key,))
-            if ctx.buffered_write(key) is None:
-                _v, ver = self.store.get(key)
-                ctx.rset.setdefault(key, ver)
-        except (NotFound, ResolutionError):
-            ctx.abort()
-            raise
-        return futexpr.read_future(key, ctx)
+        return read_future_key(self, ctx, k)
 
     def lsd_is_true(self, ctx: TxnContext, cond: Expr) -> bool:
-        """Assert a predicate: evaluate it against current values (point
-        reads, no version recorded) and remember the result for commit-time
-        re-validation."""
-        ctx.require_active()
-        handles = cond.handles
-        vals: ResolvedValues = {}
-        if handles:
-            self.meter.trip("is_true")
-        try:
-            for h in handles:
-                if h not in ctx.frset:
-                    raise futexpr.UnboundHandle("foreign handle %r" % (h,))
-                v, _ver = self.store.get(ctx.frset[h])
-                vals[h] = v
-            result = futexpr.resolve(cond, vals)
-            if value_kind(result) != "bool":
-                raise futexpr.TypeMismatch("condition resolved to %r" % (result,))
-        except (NotFound, ResolutionError):
-            ctx.abort()
-            raise
-        ctx.cset.append((cond, result))
-        return result
+        return is_true(self, ctx, cond)
 
     def lsd_is_true_speculative(self, ctx: TxnContext, cond: Expr,
                                 assumed: bool) -> bool:
-        """Assume the predicate's result without touching storage; the
-        commit-time check arbitrates.  Zero messages."""
-        ctx.require_active()
-        ctx.cset.append((cond, bool(assumed)))
-        return bool(assumed)
+        return is_true_speculative(ctx, cond, assumed)
 
     # -- commit ------------------------------------------------------------
-
-    def _fail(self, ctx: TxnContext, reason: str,
-              rvalues: ResolvedValues) -> CommitOutcome:
-        self.latches.release_all(ctx)
-        ctx.status = ABORTED
-        # rvalues are returned even on abort, advisory only: they are reads
-        # taken under latches but not validated as a unit with anything.
-        return CommitOutcome(False, rvalues, reason)
 
     def lsd_commit(self, ctx: TxnContext) -> CommitOutcome:
         ctx.require_active()
         self.meter.trip("commit")
         store, latches = self.store, self.latches
         rvalues: ResolvedValues = {}
-        resolved_fw: List[Tuple[str, int, Expr]] = []  # (key, seq, value expr)
-
-        known = sorted(set(ctx.wset) | set(ctx.frset.values()))
-        for _restart in range(_MAX_LATCH_RESTARTS):
-            for key in known:
-                latches.acquire_write(ctx, key)
-            rvalues = {}
-            resolved_fw = []
-            try:
-                for h, key in ctx.frset.items():
-                    v, _ver = store.get(key)
-                    rvalues[h] = v
-                for (kexpr, vexpr), seq in zip(ctx.fwset, ctx.fwseq):
-                    k = futexpr.resolve(kexpr, rvalues)
-                    if value_kind(k) != "str":
-                        raise futexpr.TypeMismatch(
-                            "write key resolved to %r" % (k,))
-                    resolved_fw.append((k, seq, vexpr))
-            except NotFound:
-                return self._fail(ctx, NOT_FOUND, rvalues)
-            except ResolutionError:
-                return self._fail(ctx, RESOLUTION_ERROR, rvalues)
-            extra = {k for k, _, _ in resolved_fw} - set(known)
-            if not extra:
-                break
-            # a future write-key resolved outside the latch set: widen and
-            # redo from scratch so acquisition order stays globally sorted
-            latches.release_all(ctx)
-            known = sorted(set(known) | extra)
-        else:
-            return self._fail(ctx, RESOLUTION_ERROR, rvalues)
-
-        for key, ver in ctx.rset.items():
-            if store.version(key) != ver or latches.held_by_other(ctx, key):
-                return self._fail(ctx, STALE_READ, rvalues)
-
-        for cond, expected in ctx.cset:
-            try:
-                got = futexpr.resolve(cond, rvalues)
-            except ResolutionError:
-                return self._fail(ctx, RESOLUTION_ERROR, rvalues)
-            if got != expected:
-                return self._fail(ctx, CONDITION_INVALIDATED, rvalues)
-
-        # last write per key wins, across both buffering APIs
-        intents: Dict[str, Tuple[int, Expr]] = {}
-        for key, e in ctx.wset.items():
-            intents[key] = (ctx.wseq[key], e)
-        for key, seq, e in resolved_fw:
-            if key not in intents or seq > intents[key][0]:
-                intents[key] = (seq, e)
         try:
-            writes = {key: futexpr.resolve(e, rvalues)
-                      for key, (_seq, e) in intents.items()}
-        except ResolutionError:
-            return self._fail(ctx, RESOLUTION_ERROR, rvalues)
-
-        for key in sorted(writes):
-            store.put(key, writes[key], store.next_version(key))
+            known = sorted(set(ctx.wset) | set(ctx.frset.values()))
+            for _restart in range(_MAX_LATCH_RESTARTS):
+                for key in known:
+                    latches.acquire_write(ctx, key)
+                rvalues = {}
+                for h, key in ctx.frset.items():
+                    rvalues[h] = store.get(key)[0]
+                resolved_fw = resolve_fw_keys(fw_entries(ctx), rvalues)
+                extra = {k for k, _seq, _v in resolved_fw}.difference(known)
+                if not extra:
+                    break
+                # a future write-key resolved outside the latch set: widen
+                # and redo from scratch so acquisition order stays sorted
+                latches.release_all(ctx)
+                known = sorted(extra.union(known))
+            else:
+                raise Abort(RESOLUTION_ERROR)
+            validate_reads(ctx, ctx.rset, store, latches)
+            check_conditions(ctx.cset, rvalues)
+            writes = resolve_writes(
+                merge_writes(static_intents(ctx), resolved_fw), rvalues)
+        except ABORTS as e:
+            return self._fail(ctx, reason_of(e), rvalues)
+        store.put_all(writes)
         latches.release_all(ctx)
         ctx.status = COMMITTED
         return CommitOutcome(True, rvalues, None)

@@ -24,6 +24,7 @@ with tag 0 = int (payload i64), 1 = str (payload u32 len + utf-8 bytes),
 
 from __future__ import annotations
 
+import heapq
 import struct
 import threading
 from typing import Callable, Dict, List, Optional, Tuple
@@ -87,6 +88,11 @@ class Store:
                 )
             self._install(key, value, version)
 
+    def put_all(self, writes: Dict[str, Value]) -> None:
+        """Install each write at its key's next version, in key order."""
+        for key in sorted(writes):
+            self.put(key, writes[key], self.next_version(key))
+
     def next_version(self, key: str) -> int:
         with self._mutex:
             return self._version(key) + 1
@@ -124,24 +130,7 @@ class Store:
     # -- snapshot ----------------------------------------------------------
 
     def save_snapshot(self, path: str) -> None:
-        chunks: List[bytes] = []
-        for key, value, version in self.items():
-            kb = key.encode("utf-8")
-            chunks.append(struct.pack("<I", len(kb)))
-            chunks.append(kb)
-            tag = _TAGS[value_kind(value)]
-            chunks.append(struct.pack("<B", tag))
-            if tag == 0:
-                chunks.append(struct.pack("<q", value))
-            elif tag == 1:
-                vb = value.encode("utf-8")
-                chunks.append(struct.pack("<I", len(vb)))
-                chunks.append(vb)
-            else:
-                chunks.append(struct.pack("<B", 1 if value else 0))
-            chunks.append(struct.pack("<Q", version))
-        with open(path, "wb") as f:
-            f.write(b"".join(chunks))
+        write_snapshot(path, [self])
 
     @classmethod
     def load_snapshot(cls, path: str,
@@ -206,3 +195,26 @@ class Store:
         except UnicodeDecodeError:
             raise SnapshotError("record at byte %d is not UTF-8" % start) from None
         return fresh
+
+
+def write_snapshot(path: str, stores: List[Store]) -> None:
+    """Write the records of stores holding disjoint keys (a partitioned
+    deployment's) as one key-sorted snapshot, as if they were one store."""
+    chunks: List[bytes] = []
+    for key, value, version in heapq.merge(*(st.items() for st in stores)):
+        kb = key.encode("utf-8")
+        chunks.append(struct.pack("<I", len(kb)))
+        chunks.append(kb)
+        tag = _TAGS[value_kind(value)]
+        chunks.append(struct.pack("<B", tag))
+        if tag == 0:
+            chunks.append(struct.pack("<q", value))
+        elif tag == 1:
+            vb = value.encode("utf-8")
+            chunks.append(struct.pack("<I", len(vb)))
+            chunks.append(vb)
+        else:
+            chunks.append(struct.pack("<B", 1 if value else 0))
+        chunks.append(struct.pack("<Q", version))
+    with open(path, "wb") as f:
+        f.write(b"".join(chunks))

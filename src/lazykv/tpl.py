@@ -13,14 +13,15 @@ Future-aware transactions keep execution local and lock at the edges:
             writer honest: a write may slip past it only if the value it
             installs preserves the observed result.
   commit    read-locks and reads the deferred-read keys it will not
-            rewrite, removes its own condition entries, then locks each
-            read-modify-write key with a single write-value acquisition
-            whose candidate value is recomputed from the live value at
-            every grant attempt (no read-lock-then-upgrade step, so
-            concurrent committers of one key serialize instead of
-            deadlocking), folds in future-keyed writes once their keys
-            resolve, installs, and releases.  Write-value locks coexist
-            with condition holders whose predicates the value preserves.
+            rewrite, then locks each read-modify-write key with a single
+            write-value acquisition whose candidate value is recomputed
+            from the live value at every grant attempt (no
+            read-lock-then-upgrade step, so concurrent committers of one
+            key serialize instead of deadlocking).  The shared steps of
+            commit.py then resolve the future write-keys and the last
+            write per key; each write is locked at its value, installed,
+            and everything is released.  Write-value locks coexist with
+            condition holders whose predicates the value preserves.
 
 Deadlocks are prevented by wound-wait: an older requester wounds younger
 conflicting holders; a younger requester waits.  A wounded transaction
@@ -30,46 +31,41 @@ two-phase-locking transaction: every non-wounded commit succeeds.
 Conditions are limited to predicates over exactly one key; asserting a
 multi-key predicate raises UnsupportedCondition (the optimistic engine
 supports them).
+
+There is no lsd_read_future_key (its key is unknown until read, so it
+cannot be locked before the read) and no lsd_is_true_speculative (an
+assumed result installs no condition entry to enforce it).
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import futexpr
+from .commit import (ABORTS, CommitOutcome, fw_entries, merge_writes,
+                     reason_of, resolve_as, resolve_fw_keys, resolve_writes,
+                     static_intents)
 from .futexpr import (Expr, FutureHandle, ResolutionError, ResolvedValues,
                       Value, value_kind)
 from .locks import UNRESOLVABLE, LockManager, StampClock, Wounded
 from .meter import MessageMeter
-from .occ import CommitOutcome, NOT_FOUND, RESOLUTION_ERROR, WOUNDED_REASON
 from .store import NotFound, Store
-from .txn import ABORTED, COMMITTED, TxnContext
+from .txn import COMMITTED, Deployment, TxnContext
 
 
 class UnsupportedCondition(Exception):
     """Predicate spans more than one key; out of this engine's scope."""
 
 
-class TplEngine:
+class TplEngine(Deployment):
     def __init__(self, store: Store, clock: Optional[StampClock] = None,
                  meter: Optional[MessageMeter] = None,
                  locks: Optional[LockManager] = None):
         self.store = store
-        self.clock = clock or StampClock()
-        self.meter = meter or MessageMeter()
         self.locks = locks or LockManager()
-        self._ids = itertools.count(1)
+        super().__init__([store], [self.locks], clock, meter)
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def begin(self, stamp: Optional[int] = None) -> TxnContext:
-        if stamp is None:
-            stamp = self.clock.next()
-        return TxnContext(next(self._ids), stamp, engine=self)
-
-    def on_abort(self, ctx: TxnContext) -> None:
-        self.locks.release_all(ctx)
+    begin = Deployment.begin
 
     # -- execution-time operations ----------------------------------------
 
@@ -105,43 +101,28 @@ class TplEngine:
         ctx.require_active()
         handles = cond.handles
         if not handles:
-            result = futexpr.resolve(cond, {})
-            if value_kind(result) != "bool":
-                raise futexpr.TypeMismatch("condition resolved to %r" % (result,))
+            result = resolve_as("bool", "condition", cond, {})
             ctx.cset.append((cond, result))
             return result
         if len(handles) != 1:
             raise UnsupportedCondition(
                 "condition reads %d keys, need exactly 1" % len(handles))
         (h,) = handles
-        key = ctx.frset.get(h)
-        if key is None:
-            raise futexpr.UnboundHandle("foreign handle %r" % (h,))
+        key = ctx.key_of(h)
         self.meter.trip("is_true")
         try:
             self.locks.acquire_read(ctx, key)
             v, _ver = self.store.get(key)
-            result = futexpr.resolve(cond, {h: v})
-            if value_kind(result) != "bool":
-                raise futexpr.TypeMismatch("condition resolved to %r" % (result,))
+            result = resolve_as("bool", "condition", cond, {h: v})
             self.locks.add_condition(ctx, key, cond, result)
             self.locks.release_read(ctx, key)  # downgrade to read-condition mode
-        except Wounded:
-            ctx.abort()
-            raise
-        except (NotFound, ResolutionError):
+        except (Wounded, NotFound, ResolutionError):
             ctx.abort()
             raise
         ctx.cset.append((cond, result))
         return result
 
     # -- commit ------------------------------------------------------------
-
-    def _fail(self, ctx: TxnContext, reason: str,
-              rvalues: ResolvedValues) -> CommitOutcome:
-        self.locks.release_all(ctx)
-        ctx.status = ABORTED
-        return CommitOutcome(False, rvalues, reason)
 
     def _candidate_fn(self, key: str, expr: Expr, handles: List[FutureHandle],
                       rvalues: ResolvedValues):
@@ -167,13 +148,10 @@ class TplEngine:
         ctx.require_active()
         self.meter.trip("commit")
         rvalues: ResolvedValues = {}
-        if ctx.wounded:
-            return self._fail(ctx, WOUNDED_REASON, rvalues)
         try:
-            # statically keyed intents, last write per key; future-keyed
-            # writes merge in below once their key expressions resolve
-            intents: Dict[str, Tuple[int, Expr]] = {
-                key: (ctx.wseq[key], e) for key, e in ctx.wset.items()}
+            if ctx.wounded:
+                raise Wounded(ctx.stamp)
+            intents = static_intents(ctx)
             handles_by_key: Dict[str, List[FutureHandle]] = {}
             for h, key in ctx.frset.items():
                 handles_by_key.setdefault(key, []).append(h)
@@ -198,29 +176,17 @@ class TplEngine:
                 for h in handles_by_key[key]:
                     rvalues[h] = v
 
-            for (kexpr, vexpr), seq in zip(ctx.fwset, ctx.fwseq):
-                k = futexpr.resolve(kexpr, rvalues)
-                if value_kind(k) != "str":
-                    raise futexpr.TypeMismatch("write key resolved to %r" % (k,))
-                if k not in intents or seq > intents[k][0]:
-                    intents[k] = (seq, vexpr)
-            writes = {key: futexpr.resolve(e, rvalues)
-                      for key, (_seq, e) in intents.items()}
-
+            writes = resolve_writes(merge_writes(
+                intents, resolve_fw_keys(fw_entries(ctx), rvalues)), rvalues)
             rmw_held = set(rmw)
             for key in sorted(writes):
                 if key in rmw_held:
                     self.locks.update_write_value(ctx, key, writes[key])
                 else:
                     self.locks.acquire_write_value(ctx, key, writes[key])
-            for key in sorted(writes):
-                self.store.put(key, writes[key], self.store.next_version(key))
-        except Wounded:
-            return self._fail(ctx, WOUNDED_REASON, rvalues)
-        except NotFound:
-            return self._fail(ctx, NOT_FOUND, rvalues)
-        except ResolutionError:
-            return self._fail(ctx, RESOLUTION_ERROR, rvalues)
+        except ABORTS as e:
+            return self._fail(ctx, reason_of(e), rvalues)
+        self.store.put_all(writes)
         self.locks.release_all(ctx)
         ctx.status = COMMITTED
         return CommitOutcome(True, rvalues, None)

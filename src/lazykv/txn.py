@@ -18,13 +18,22 @@ resolved key wins regardless of whether it came through write() or
 write_future_key().  Retry policy lives with the caller: commit reports the
 abort and the caller decides whether to run the transaction again (engines
 accept a stamp so a retry can keep its wound-wait age).
+
+Deployment is what the single-node engines and Cluster share: the
+transaction lifecycle (begin, the abort path) and the data plane used
+outside any transaction (load, values_dict, snapshots, lock inspection).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Tuple
 
-from .futexpr import Expr, FutureHandle
+from .commit import CommitOutcome
+from .futexpr import Expr, FutureHandle, ResolvedValues, UnboundHandle, Value
+from .locks import StampClock
+from .meter import MessageMeter
+from .store import Store, write_snapshot
 
 ACTIVE = "active"
 COMMITTED = "committed"
@@ -66,6 +75,13 @@ class TxnContext:
     def buffered_write(self, key: str) -> Optional[Expr]:
         return self.wset.get(key)
 
+    def key_of(self, h: FutureHandle) -> str:
+        """The key this transaction's future h reads."""
+        key = self.frset.get(h)
+        if key is None:
+            raise UnboundHandle("foreign handle %r" % (h,))
+        return key
+
     def new_future(self, key: str) -> FutureHandle:
         h = FutureHandle(self._next_handle, key)
         self._next_handle += 1
@@ -105,3 +121,74 @@ class TxnContext:
         self.status = ABORTED
         if self.engine is not None:
             self.engine.on_abort(self)
+
+
+class Deployment:
+    """Base of OccEngine, TplEngine and Cluster.
+
+    stores lists the deployment's stores, one per partition, and tables
+    the latch table or lock manager of each; store_for(key) names the store
+    that owns key (on a single node, the only one).  Each subclass binds
+    begin in its own class body (begin = Deployment.begin), so wrapping one
+    class's entry point leaves the others alone."""
+
+    def __init__(self, stores: List[Store], tables: list,
+                 clock: Optional[StampClock], meter: Optional[MessageMeter]):
+        self.stores = stores
+        self.tables = tables
+        self.clock = clock or StampClock()
+        self.meter = meter or MessageMeter()
+        self._ids = itertools.count(1)
+
+    def store_for(self, key: str) -> Store:
+        return self.stores[0]
+
+    def begin(self, stamp: Optional[int] = None) -> TxnContext:
+        """Start a transaction.  Purely local.  A retry of an aborted
+        transaction passes its old stamp to keep its wound-wait age."""
+        if stamp is None:
+            stamp = self.clock.next()
+        return TxnContext(next(self._ids), stamp, engine=self)
+
+    def on_abort(self, ctx: TxnContext) -> None:
+        for table in self.tables:
+            table.release_all(ctx)
+
+    def _fail(self, ctx: TxnContext, reason: str,
+              rvalues: ResolvedValues) -> CommitOutcome:
+        self.on_abort(ctx)
+        ctx.status = ABORTED
+        # rvalues are returned even on abort, advisory only: they are reads
+        # taken under latches or locks but not validated as a unit
+        return CommitOutcome(False, rvalues, reason)
+
+    # -- data plane, outside any transaction -------------------------------
+
+    def load(self, key: str, value: Value) -> None:
+        """Initial data placement."""
+        self.store_for(key).put_all({key: value})
+
+    def values_dict(self) -> Dict[str, Value]:
+        out: Dict[str, Value] = {}
+        for st in self.stores:
+            out.update(st.values_dict())
+        return out
+
+    def load_snapshot(self, path: str) -> None:
+        """Install a snapshot's records straight into the stores that own
+        their keys; valid only before any transaction runs."""
+        Store.load_snapshot(path, into=self.store_for)
+
+    def save_snapshot(self, path: str) -> None:
+        write_snapshot(path, self.stores)
+
+    def dump_key(self, key: str) -> str:
+        """Human-readable latch or lock state of key, per partition."""
+        if len(self.tables) == 1:
+            return self.tables[0].dump_key(key)
+        return "\n".join("partition %d: %s" % (pid, t.dump_key(key))
+                         for pid, t in enumerate(self.tables))
+
+    def queued_keys(self) -> List[str]:
+        """Keys that some transaction is waiting for."""
+        return sorted({k for t in self.tables for k in t.queued_keys()})

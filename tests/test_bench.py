@@ -15,8 +15,7 @@ from lazykv.bench.oracle import (CommittedTxn, GuardedWriteStep, ReadStep,
                                  random_schedule, run_schedule, slot_read,
                                  _execute_txn, _slots_of, slot_handle)
 from lazykv.bench.runner import (ProtocolApi, RunConfig, build_api,
-                                 family_of, make_engine, run, run_assert, run_hotkey,
-                                 run_tpcc_lite, validate)
+                                 family_of, make_engine, run, validate)
 from lazykv.bench.workloads import make_workload
 from lazykv import futexpr
 
@@ -158,14 +157,6 @@ class TestRunnerAccounting:
         latches.release_all(waiter)
         assert text == "b:\n  latched by stamp %d\n  waiting: 1" % holder.stamp
         assert api.dump_queued() == "(no key has a waiter)"
-
-    def test_named_entry_points_check_workload(self):
-        with pytest.raises(ValueError):
-            run_assert(RunConfig(workload="hotkey"))
-        with pytest.raises(ValueError):
-            run_hotkey(RunConfig(workload="assert"))
-        with pytest.raises(ValueError):
-            run_tpcc_lite(RunConfig(workload="hotkey"))
 
 
 class TestSnapshotFlow:

@@ -8,8 +8,8 @@ import pytest
 from lazykv import (CONDITION_INVALIDATED, Cluster, ConfigurationError,
                     DirectoryPartitionMap, HashPartitionMap, STALE_READ, add,
                     can_skip_extra_round, concat, const, ge, read, read_future,
-                    route, to_str, two_pc_commit)
-from lazykv.futexpr import FutureHandle
+                    to_str)
+from lazykv.futexpr import FutureHandle, UnboundHandle
 
 
 def find_key(pm, pid, prefix="k"):
@@ -48,10 +48,6 @@ class TestRouting:
     def test_zero_partitions_rejected(self):
         with pytest.raises(ConfigurationError):
             HashPartitionMap(0)
-
-    def test_route_helper(self):
-        pm = HashPartitionMap(2)
-        assert route(pm, "k") == pm.route("k")
 
 
 class TestStaticPartition:
@@ -177,14 +173,6 @@ class TestRoundAccounting:
         assert c.store_for("a:7").get("a:7")[0] == "x"
         assert c.store_for("b:flag").get("b:flag")[0] == 1
 
-    def test_commit_entry_point_alias(self):
-        pm = HashPartitionMap(2)
-        c = Cluster(pm)
-        ka = find_key(pm, 0)
-        ctx = c.begin()
-        ctx.write(ka, const(1))
-        assert two_pc_commit(c, ctx).committed
-
 
 class TestDistributedValidation:
     def test_stale_read_vote_aborts_everywhere(self):
@@ -224,6 +212,37 @@ class TestDistributedValidation:
         assert not out.committed and out.reason == STALE_READ
         assert out.prepare_rounds == 1
         assert c.store_for(kb).get(kb) == (0, 1)
+
+    def test_cross_partition_write_skew_is_refused(self):
+        # T1 reads k (partition 0) and writes x (partition 1); T2 reads x
+        # and writes k.  T2's whole commit runs between T1's two prepares,
+        # after T1 validated k and before it latched x.  Serializability
+        # allows at most one of them to commit.
+        pm = HashPartitionMap(2)
+        c = Cluster(pm)
+        k, x = find_key(pm, 0, "k"), find_key(pm, 1, "x")
+        c.load(k, 0)
+        c.load(x, 0)
+        t1, t2 = c.begin(), c.begin()
+        c.classic_read(t1, k)
+        t1.write(x, const(1))
+        c.classic_read(t2, x)
+        t2.write(k, const(1))
+        p1 = c.partitions[1]
+        prepare = p1.prepare
+        outcomes = {}
+
+        def hooked(ctx, req):
+            if ctx is t1 and "t2" not in outcomes:
+                outcomes["t2"] = c.lsd_commit(t2)
+            return prepare(ctx, req)
+
+        p1.prepare = hooked
+        outcomes["t1"] = c.lsd_commit(t1)
+        assert "t2" in outcomes
+        committed = [n for n, out in sorted(outcomes.items()) if out.committed]
+        assert len(committed) <= 1, c.values_dict()
+        assert committed == ["t1"]
 
     def test_condition_checked_against_merged_reads(self):
         pm = HashPartitionMap(2)
@@ -315,6 +334,25 @@ class TestLockingFamilyCluster:
         ctx = c.begin()
         with pytest.raises(ConfigurationError):
             c.classic_write(ctx, "a:x", 1)
+
+    def test_foreign_handle_in_condition_rejected(self):
+        c = Cluster(self.pm(), family="tpl")
+        c.load("a:n", 5)
+        foreign = read_future("a:n", c.begin())
+        with pytest.raises(UnboundHandle):
+            c.lsd_is_true(c.begin(), ge(foreign, const(1)))
+
+    def test_optimistic_only_reads_refused(self):
+        # TplEngine has no lsd_read_future_key or speculative is-true, and
+        # the cluster's commit never re-checks a locking-family condition
+        c = Cluster(self.pm(), family="tpl")
+        c.load("a:n", 5)
+        ctx = c.begin()
+        fut = read_future("a:n", ctx)
+        with pytest.raises(ConfigurationError):
+            c.lsd_read_future_key(ctx, const("a:n"))
+        with pytest.raises(ConfigurationError):
+            c.lsd_is_true_speculative(ctx, ge(fut, const(10)), True)
 
 
 class TestClusterPlumbing:

@@ -276,6 +276,47 @@ class TestWoundWait:
         m2.release_all(old)
 
 
+    def test_value_drift_wounds_younger_condition_holder(self):
+        # C holds W(1) while A and B hold "k > 0 = True".  A's
+        # read-modify-write candidate (k - 1) is 1 while C holds, so A parks
+        # without wounding anyone.  C installs 1 and releases: A's refreshed
+        # candidate is 0, which violates B's condition.  Unless that drift
+        # wounds B, A waits on B's condition while B's own write queues
+        # behind A, and both time out.
+        m = mgr()
+        c, a, b = LockOwner(1), LockOwner(2), LockOwner(3)
+        m.acquire_read_condition(a, "k", COND, True)
+        m.acquire_read_condition(b, "k", COND, True)
+        m.acquire_write_value(c, "k", 1)
+        cell = {"v": 2}
+        outcome = {}
+
+        def request(owner):
+            try:
+                m.acquire_write_fn(owner, "k", lambda: cell["v"] - 1,
+                                   timeout=1.0)
+                outcome[owner.stamp] = "granted"
+            except Wounded:
+                m.release_all(owner)  # as the engines do on Wounded
+                outcome[owner.stamp] = "wounded"
+            except LockTimeout:
+                outcome[owner.stamp] = "timeout"
+
+        ta = threading.Thread(target=request, args=(a,))
+        ta.start()
+        deadline = time.monotonic() + 2.0
+        while "waiting: stamp 2" not in m.dump_key("k"):
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        cell["v"] = 1  # C installs 1 ...
+        m.release_all(c)  # ... and releases
+        request(b)
+        ta.join(2.0)
+        assert outcome == {3: "wounded", 2: "granted"}
+        assert b.wounded and not a.wounded
+        m.release_all(a)
+
+
 def _acquire_outcome(m, owner, mode, key):
     try:
         if mode == "w":
