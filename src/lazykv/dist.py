@@ -12,9 +12,9 @@ records zero 2PC rounds.  Otherwise the commit is the one of commit.py,
 split across the partitions:
 
   round 1   each participant gets its slice: it latches/locks its local
-            write and deferred-read keys (and, optimistic family, its
-            read-set keys, so that a validated read stays valid until the
-            decision), reads the deferred reads, and votes with the values
+            write and deferred-read keys (and, optimistic family, shares
+            its read-set keys, so that a validated read stays valid until
+            the decision), reads the deferred reads, and votes with the values
             it read.  Writes whose key is itself an unresolved expression
             cannot be prepared yet, unless the key's partition is
             statically known and all the futures it depends on live there
@@ -56,7 +56,7 @@ from .commit import (ABORTS, Abort, CommitOutcome, FwEntry, FwWrite,
                      STALE_READ, check_conditions, fw_entries, merge_writes, reason_of,
                      resolve_fw_keys, resolve_writes, static_intents)
 from .futexpr import Expr, ResolutionError, ResolvedValues, Value
-from .locks import LockTimeout, StampClock
+from .locks import StampClock
 from .meter import MessageMeter
 from .occ import OccEngine
 from .store import Store
@@ -242,19 +242,17 @@ class Participant:
 
     def _prepare_occ(self, ctx: TxnContext, req: PrepareRequest) -> PrepareVote:
         latches = self.engine.latches
-        # read-set keys are latched in the same pass: validated here, they
-        # must stay valid until the decision, while later partitions
-        # prepare.  A read key latched by another transaction is about to
-        # change (as in validate_reads), so it is not waited for.
+        # read-only keys are latched shared in the same pass: validated
+        # here, they must stay valid until the decision, while later
+        # partitions prepare.  A read key latched exclusively by another
+        # transaction is about to change (as in validate_reads), so it is
+        # not waited for; other readers do not conflict.
         latch_keys = set(req.latch_keys)
         for key in sorted(latch_keys.union(req.rset)):
             if key in latch_keys:
                 latches.acquire_write(ctx, key, timeout=_PREPARE_DEADLINE)
-                continue
-            try:
-                latches.acquire_write(ctx, key, timeout=0)
-            except LockTimeout:
-                raise Abort(STALE_READ) from None
+            elif not latches.acquire_read(ctx, key):
+                raise Abort(STALE_READ)
         rvalues = self._read_futures(req)
         resolved_fw = resolve_fw_keys(req.ride_along_fw, rvalues)
         for key in sorted({k for k, _seq, _v in resolved_fw}

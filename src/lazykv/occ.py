@@ -15,19 +15,23 @@ version; the commit-time re-evaluation is the sole guard.  That is what
 lets a condition survive concurrent writes that preserve its truth, where
 a version check would abort.
 
-Latches live in a LatchTable: one plain exclusive lock per key in flight,
-taken in sorted key order (deadlock-free).  They never wound anyone, so a
-transaction with nothing to validate (empty rset, empty cset) can wait but
-cannot abort.  If resolving a future write-key produces a key that is not
-latched yet, commit releases everything and restarts with the larger latch
-set, keeping the sorted order global.
+Latches live in a LatchTable: one plain lock per key in flight, which
+commit takes exclusively in sorted key order (deadlock-free).  A
+cross-partition prepare (dist) also shares the keys it only read.  Latches
+never wound anyone, so a transaction with nothing to validate (empty rset,
+empty cset) can wait but cannot abort.  If resolving a future write-key
+produces a key that is not latched yet, commit tries to latch it without
+waiting, which cannot deadlock; only if another transaction holds it does
+commit release everything and restart with the larger latch set, keeping
+the sorted order global.
 
-Read-set keys are not latched.  validate_reads checks them the way Silo
-does (Tu et al., SOSP 2013): a key passes only if its version is unchanged
-*and* no other transaction holds its latch.  A transaction that holds the
-latch may be about to install a new version, so a reader validating
-against it must abort; checking the version alone lets two transactions
-that each read what the other writes both commit (write skew).
+Commit does not latch read-set keys.  validate_reads checks them the way
+Silo does (Tu et al., SOSP 2013): a key passes only if its version is
+unchanged *and* no other transaction holds its latch exclusively.  A
+transaction that holds the latch may be about to install a new version,
+so a reader validating against it must abort; checking the version alone
+lets two transactions that each read what the other writes both commit
+(write skew).
 
 The execution-time reads (is_true, read_future_key) take any deployment's
 key -> store lookup, so Cluster's optimistic family runs the same code and
@@ -57,23 +61,30 @@ _MAX_LATCH_RESTARTS = 32
 
 
 class _Latch:
-    __slots__ = ("lock", "owner", "users")
+    __slots__ = ("lock", "owner", "readers", "users")
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.owner = None   # set once the holder is recorded
-        self.users = 0      # the holder plus every waiter
+        self.owner = None   # the exclusive holder, once recorded
+        self.readers = []   # shared holders; together they hold lock
+        self.users = 0      # every holder plus every waiter
+
+    def waiting(self) -> int:
+        return self.users - max(1, len(self.readers))
 
 
 class LatchTable:
-    """Exclusive per-key commit latches for the optimistic family.
+    """Per-key commit latches for the optimistic family.
 
-    Each key in flight has one threading.Lock; an acquirer that finds it
-    taken blocks on that lock itself.  An entry exists only while someone
-    holds or awaits its key, so the table never outgrows the keys of the
-    commits in progress.  Each owner's held keys are listed, so
-    release_all frees them in one pass.  Re-acquiring a key one already
-    holds is a no-op."""
+    Each key in flight has one threading.Lock.  An exclusive acquirer that
+    finds it taken blocks on that lock itself.  A shared (read) latch never
+    waits: the first reader takes the lock, later readers join it while
+    nobody holds it exclusively, and the last reader to leave releases it.
+    An entry exists only while someone holds or awaits its key, so the
+    table never outgrows the keys of the commits in progress.  Each owner's
+    held keys are listed, so release_all frees them in one pass.
+    Re-acquiring a key one already holds is a no-op; an exclusive request
+    from a reader upgrades its latch."""
 
     def __init__(self):
         self._mutex = threading.Lock()
@@ -82,14 +93,24 @@ class LatchTable:
 
     def acquire_write(self, owner, key: str,
                       timeout: Optional[float] = None) -> None:
-        """Latch key for owner, waiting at most timeout seconds (forever
-        when None); raises LockTimeout when the wait runs out."""
+        """Latch key exclusively for owner, waiting at most timeout seconds
+        (forever when None); raises LockTimeout when the wait runs out.  A
+        reader that is not the only one gives up its share and waits."""
         with self._mutex:
             latch = self._latches.get(key)
             if latch is None:
                 latch = self._latches[key] = _Latch()
             elif latch.owner is owner:
                 return
+            elif owner in latch.readers:
+                if len(latch.readers) == 1:  # the only reader: upgrade
+                    latch.readers = []
+                    latch.owner = owner
+                    return
+                # wait for the other readers like any exclusive acquirer
+                latch.readers.remove(owner)
+                self._held[owner].remove(key)
+                latch.users -= 1
             latch.users += 1
             if latch.lock.acquire(False):
                 latch.owner = owner
@@ -105,27 +126,49 @@ class LatchTable:
             latch.owner = owner
             self._held.setdefault(owner, []).append(key)
 
+    def acquire_read(self, owner, key: str) -> bool:
+        """Latch key shared for owner, without waiting; False when another
+        transaction holds it exclusively or is taking it so."""
+        with self._mutex:
+            latch = self._latches.get(key)
+            if latch is None:
+                latch = self._latches[key] = _Latch()
+            elif latch.owner is owner or owner in latch.readers:
+                return True
+            if not latch.readers and not latch.lock.acquire(False):
+                return False
+            latch.readers.append(owner)
+            latch.users += 1
+            self._held.setdefault(owner, []).append(key)
+            return True
+
     def release_all(self, owner) -> None:
         """Drop every latch owner holds; idempotent."""
         with self._mutex:
             for key in self._held.pop(owner, ()):
                 latch = self._latches[key]
-                latch.owner = None
                 latch.users -= 1
+                if latch.owner is owner:
+                    latch.owner = None
+                else:
+                    latch.readers.remove(owner)
+                    if latch.readers:
+                        continue
                 if not latch.users:
                     del self._latches[key]
                 latch.lock.release()
 
     def held_by_other(self, owner, key: str) -> bool:
-        """True when a transaction other than owner holds key's latch.
+        """True when a transaction other than owner holds key's latch
+        exclusively; shared holders only read.
 
-        Reads without the table mutex: a latch taken before this call
-        started is always seen, because its entry exists before its lock is
-        taken, and a holder whose ownership is not recorded yet counts as
-        another transaction."""
+        Reads without the table mutex: an exclusive latch taken before this
+        call started is always seen, because its entry exists before its
+        lock is taken and it has no readers, and a holder whose ownership is
+        not recorded yet counts as another transaction."""
         latch = self._latches.get(key)
         return (latch is not None and latch.lock.locked()
-                and latch.owner is not owner)
+                and not latch.readers and latch.owner is not owner)
 
     def held_keys(self, owner) -> Set[str]:
         with self._mutex:
@@ -135,7 +178,7 @@ class LatchTable:
         """Keys that some transaction is waiting to latch."""
         with self._mutex:
             return sorted(k for k, latch in self._latches.items()
-                          if latch.users > 1)
+                          if latch.waiting() > 0)
 
     def dump_key(self, key: str) -> str:
         """Human-readable latch state, for the diagnostic flag."""
@@ -143,11 +186,14 @@ class LatchTable:
             latch = self._latches.get(key)
             if latch is None:
                 return "%s: unlocked" % key
-            owner = latch.owner
-            holder = ("stamp %d" % owner.stamp if owner is not None
-                      else "a transaction being recorded")
-            return "%s:\n  latched by %s\n  waiting: %d" % (
-                key, holder, latch.users - 1)
+            if latch.readers:
+                holder = "read by stamps %s" % ", ".join(
+                    str(r.stamp) for r in latch.readers)
+            elif latch.owner is not None:
+                holder = "latched by stamp %d" % latch.owner.stamp
+            else:
+                holder = "latched by a transaction being recorded"
+            return "%s:\n  %s\n  waiting: %d" % (key, holder, latch.waiting())
 
 
 def is_true(dep, ctx: TxnContext, cond: Expr) -> bool:
@@ -216,10 +262,21 @@ def is_true_speculative(ctx: TxnContext, cond: Expr, assumed: bool) -> bool:
 def validate_reads(ctx: TxnContext, rset: Dict[str, int], store: Store,
                    latches: LatchTable) -> None:
     """Silo-style read validation: a key passes if its version is unchanged
-    and no other transaction holds its latch."""
+    and no other transaction holds its latch exclusively."""
     for key, ver in rset.items():
         if store.version(key) != ver or latches.held_by_other(ctx, key):
             raise Abort(STALE_READ)
+
+
+def _try_latch(latches: LatchTable, ctx: TxnContext, keys) -> bool:
+    """Latch keys outside the sorted order without waiting, so that no
+    deadlock can form; False once one of them is held by another."""
+    for key in sorted(keys):
+        try:
+            latches.acquire_write(ctx, key, timeout=0)
+        except LockTimeout:
+            return False
+    return True
 
 
 class OccEngine(Deployment):
@@ -275,10 +332,10 @@ class OccEngine(Deployment):
                     rvalues[h] = store.get(key)[0]
                 resolved_fw = resolve_fw_keys(fw_entries(ctx), rvalues)
                 extra = {k for k, _seq, _v in resolved_fw}.difference(known)
-                if not extra:
+                if _try_latch(latches, ctx, extra):
                     break
-                # a future write-key resolved outside the latch set: widen
-                # and redo from scratch so acquisition order stays sorted
+                # a future write-key resolved outside the latch set is
+                # taken: widen and redo from scratch in sorted order
                 latches.release_all(ctx)
                 known = sorted(extra.union(known))
             else:

@@ -20,16 +20,24 @@ concatenated length-prefixed binary records, little-endian,
 
 with tag 0 = int (payload i64), 1 = str (payload u32 len + utf-8 bytes),
 2 = bool (payload u8).  An empty file is an empty store.
+
+Saving streams: it sorts each store's keys (one reference per record),
+merges the key streams and packs the records into one buffer that is
+flushed every _FLUSH_BYTES, so its extra memory grows with the number of
+keys, not with the file.  Restoring parses the file in one pass and puts
+each record straight into its store's maps.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import os
 import struct
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .futexpr import INT_MAX, INT_MIN, Value, value_kind
+from .futexpr import Value, value_kind
 
 
 class NotFound(KeyError):
@@ -44,10 +52,14 @@ class SnapshotError(ValueError):
     """Snapshot bytes do not parse as records."""
 
 
-_TAGS = {"int": 0, "str": 1, "bool": 2}
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _U64 = struct.Struct("<Q")
+# what follows the key of an int or bool record, and the head of a str one
+_INT_TAIL = struct.Struct("<BqQ")
+_BOOL_TAIL = struct.Struct("<BBQ")
+_STR_HEAD = struct.Struct("<BI")
+_FLUSH_BYTES = 1 << 16
 
 
 class Store:
@@ -108,7 +120,7 @@ class Store:
             return key in self._values
 
     def items(self) -> List[Tuple[str, Value, int]]:
-        """Stable key-sorted copy for oracles and snapshots."""
+        """Stable key-sorted copy, for oracles and tests."""
         with self._mutex:
             versions = self._versions
             return [(k, v, versions.get(k, 1))
@@ -141,10 +153,12 @@ class Store:
         Without `into` every record goes into a fresh store, which is
         returned.  With it, each record is installed straight into the
         store that into(key) names (a partitioned deployment's placement)
-        and None is returned.  Like restore_record, installing bypasses the
-        successor check, so it is valid only before the stores serve
-        transactions.  Raises SnapshotError on truncated input, an unknown
-        value tag, a version below 1, or bytes that are not UTF-8."""
+        and None is returned.  Each destination's mutex is taken when its
+        first record arrives and held until the end.  Like restore_record,
+        installing bypasses the successor check, so it is valid only before
+        the stores serve transactions.  Raises SnapshotError on truncated
+        input, an unknown value tag, a version below 1, or bytes that are
+        not UTF-8; the records before the bad one stay installed."""
         with open(path, "rb") as f:
             data = f.read()
         fresh = None
@@ -152,6 +166,7 @@ class Store:
             fresh = cls()
             into = lambda _key: fresh
         u32, i64, u64 = _U32.unpack_from, _I64.unpack_from, _U64.unpack_from
+        held: Dict["Store", Tuple[Dict[str, Value], Dict[str, int]]] = {}
         n = len(data)
         pos = start = 0
         try:
@@ -188,33 +203,74 @@ class Store:
                     raise SnapshotError("record for %r has version %d"
                                         % (key, version))
                 dest = into(key)
-                with dest._mutex:
-                    dest._install(key, value, version)
+                maps = held.get(dest)
+                if maps is None:
+                    dest._mutex.acquire()
+                    maps = held[dest] = (dest._values, dest._versions)
+                values, versions = maps
+                values[key] = value
+                if version > 1:
+                    versions[key] = version
+                elif key in versions:
+                    del versions[key]
         except (struct.error, IndexError):
             raise SnapshotError("truncated snapshot at byte %d" % start) from None
         except UnicodeDecodeError:
             raise SnapshotError("record at byte %d is not UTF-8" % start) from None
+        finally:
+            for dest in held:
+                dest._mutex.release()
         return fresh
+
+
+def _stream(st: Store) -> Iterator[Tuple[str, Value, int]]:
+    """st's records in key order; the caller holds st's mutex."""
+    values, versions = st._values, st._versions
+    return ((k, values[k], versions.get(k, 1)) for k in sorted(values))
+
+
+def _records(stores: List[Store]) -> Iterator[Tuple[str, Value, int]]:
+    """Every record of stores holding disjoint keys, in key order.  The
+    caller holds every store's mutex while it iterates."""
+    streams = [_stream(st) for st in stores]
+    return streams[0] if len(streams) == 1 else heapq.merge(*streams)
 
 
 def write_snapshot(path: str, stores: List[Store]) -> None:
     """Write the records of stores holding disjoint keys (a partitioned
-    deployment's) as one key-sorted snapshot, as if they were one store."""
-    chunks: List[bytes] = []
-    for key, value, version in heapq.merge(*(st.items() for st in stores)):
-        kb = key.encode("utf-8")
-        chunks.append(struct.pack("<I", len(kb)))
-        chunks.append(kb)
-        tag = _TAGS[value_kind(value)]
-        chunks.append(struct.pack("<B", tag))
-        if tag == 0:
-            chunks.append(struct.pack("<q", value))
-        elif tag == 1:
-            vb = value.encode("utf-8")
-            chunks.append(struct.pack("<I", len(vb)))
-            chunks.append(vb)
-        else:
-            chunks.append(struct.pack("<B", 1 if value else 0))
-        chunks.append(struct.pack("<Q", version))
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    deployment's) as one key-sorted snapshot, as if they were one store.
+
+    Every store's mutex is held while the file is written, so no record
+    changes under the writer; transactions touching the stores wait.  The
+    records go to a temporary file next to path, which replaces path only
+    once it is complete."""
+    tmp = path + ".tmp"
+    buf = bytearray()
+    try:
+        with contextlib.ExitStack() as mutexes, open(tmp, "wb") as f:
+            for st in stores:
+                mutexes.enter_context(st._mutex)
+            for key, value, version in _records(stores):
+                kb = key.encode("utf-8")
+                buf += _U32.pack(len(kb))
+                buf += kb
+                if isinstance(value, bool):
+                    buf += _BOOL_TAIL.pack(2, value, version)
+                elif isinstance(value, int):
+                    buf += _INT_TAIL.pack(0, value, version)
+                elif isinstance(value, str):
+                    vb = value.encode("utf-8")
+                    buf += _STR_HEAD.pack(1, len(vb))
+                    buf += vb
+                    buf += _U64.pack(version)
+                else:
+                    value_kind(value)  # raises TypeMismatch
+                if len(buf) >= _FLUSH_BYTES:
+                    f.write(buf)
+                    del buf[:]
+            f.write(buf)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

@@ -244,6 +244,37 @@ class TestDistributedValidation:
         assert len(committed) <= 1, c.values_dict()
         assert committed == ["t1"]
 
+    def test_shared_read_does_not_conflict(self):
+        # T1 reads k (partition 0) and writes x; T2 reads k and writes y
+        # (both on partition 1).  T2's whole commit runs while T1 holds its
+        # partition-0 prepare; nobody writes k, so both commit.
+        pm = HashPartitionMap(2)
+        c = Cluster(pm)
+        k = find_key(pm, 0, "k")
+        x, y = find_key(pm, 1, "x"), find_key(pm, 1, "y")
+        for key in (k, x, y):
+            c.load(key, 0)
+        t1, t2 = c.begin(), c.begin()
+        c.classic_read(t1, k)
+        t1.write(x, const(1))
+        c.classic_read(t2, k)
+        t2.write(y, const(1))
+        p1 = c.partitions[1]
+        prepare = p1.prepare
+        outcomes = {}
+
+        def hooked(ctx, req):
+            if ctx is t1 and "t2" not in outcomes:
+                outcomes["t2"] = c.lsd_commit(t2)
+            return prepare(ctx, req)
+
+        p1.prepare = hooked
+        outcomes["t1"] = c.lsd_commit(t1)
+        assert outcomes["t2"].committed, outcomes["t2"].reason
+        assert outcomes["t1"].committed, outcomes["t1"].reason
+        assert c.values_dict() == {k: 0, x: 1, y: 1}
+        assert c.partitions[0]._locks.dump_key(k) == "%s: unlocked" % k
+
     def test_condition_checked_against_merged_reads(self):
         pm = HashPartitionMap(2)
         c = Cluster(pm)

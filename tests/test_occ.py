@@ -1,14 +1,19 @@
-"""Optimistic engine: classic validation, future-aware commit, speculation."""
+"""Optimistic engine: classic validation, future-aware commit, speculation,
+and the latch table."""
 
+import random
+import sys
 import threading
 import time
 
 import pytest
 
-from lazykv import (CONDITION_INVALIDATED, MessageMeter, NOT_FOUND, NotFound,
-                    OccEngine, RESOLUTION_ERROR, STALE_READ, Store, TypeMismatch,
-                    add, concat, const, ge, gt, read_future, sub, to_str)
+from lazykv import (CONDITION_INVALIDATED, LockTimeout, MessageMeter,
+                    NOT_FOUND, NotFound, OccEngine, RESOLUTION_ERROR,
+                    STALE_READ, Store, TypeMismatch, add, concat, const, ge,
+                    gt, read_future, sub, to_str)
 from lazykv import futexpr
+from lazykv.occ import LatchTable
 
 
 def engine(**initial):
@@ -201,6 +206,185 @@ class TestFutureWriteKeys:
         ctx.write_future_key(fut, const(2))  # later sequence, same key
         assert eng.lsd_commit(ctx).committed
         assert eng.store.get("k")[0] == 2
+
+
+    def test_new_order_shape_latches_each_key_once(self, monkeypatch):
+        # ten stock lines, a counter and an order row keyed by the counter:
+        # the row's key resolves outside the first latch pass
+        lines = ["stock/%d" % i for i in range(10)]
+        eng = engine(next_oid=7, **{k: 50 for k in lines})
+        acquired, released = [], []
+        real_acquire = LatchTable.acquire_write
+        real_release = LatchTable.release_all
+
+        def counting_acquire(table, owner, key, timeout=None):
+            acquired.append(key)
+            return real_acquire(table, owner, key, timeout)
+
+        def counting_release(table, owner):
+            released.append(owner)
+            return real_release(table, owner)
+
+        monkeypatch.setattr(LatchTable, "acquire_write", counting_acquire)
+        monkeypatch.setattr(LatchTable, "release_all", counting_release)
+        reads = []
+        real_get = Store.get
+
+        def counting_get(st, key):
+            reads.append(key)
+            return real_get(st, key)
+
+        monkeypatch.setattr(Store, "get", counting_get)
+        ctx = eng.begin()
+        oid = read_future("next_oid", ctx)
+        for key in lines:
+            stock = read_future(key, ctx)
+            ctx.write(key, sub(stock, const(1)))
+        ctx.write_future_key(concat(const("order/"), to_str(oid)), const("row"))
+        ctx.write("next_oid", add(oid, const(1)))
+        assert eng.lsd_commit(ctx).committed
+        assert sorted(acquired) == sorted(lines + ["next_oid", "order/7"])
+        assert len(released) == 1
+        assert sorted(reads) == sorted(lines + ["next_oid"])
+        assert eng.store.get("order/7") == ("row", 1)
+
+    def test_taken_future_key_restarts_in_sorted_order(self):
+        # another transaction holds the resolved key: commit releases
+        # everything and waits for it in a sorted pass instead of spinning
+        eng = engine(ptr="target", target=0)
+        blocker = eng.begin()
+        eng.latches.acquire_write(blocker, "target")
+        ctx = eng.begin()
+        fut = read_future("ptr", ctx)
+        ctx.write_future_key(fut, const(9))
+        timer = threading.Timer(0.05, eng.latches.release_all, (blocker,))
+        timer.start()
+        try:
+            assert eng.lsd_commit(ctx).committed
+        finally:
+            timer.join()
+        assert eng.store.get("target") == (9, 2)
+
+
+class TestLatchTable:
+    def test_readers_share_and_last_one_releases(self):
+        t = LatchTable()
+        a, b, w = object(), object(), object()
+        assert t.acquire_read(a, "k") and t.acquire_read(b, "k")
+        assert not t.held_by_other(w, "k")  # readers do not count
+        with pytest.raises(LockTimeout):
+            t.acquire_write(w, "k", timeout=0)
+        t.release_all(a)
+        with pytest.raises(LockTimeout):
+            t.acquire_write(w, "k", timeout=0)
+        t.release_all(b)
+        t.acquire_write(w, "k", timeout=0)
+        assert t.held_by_other(a, "k")
+        assert not t.acquire_read(a, "k")  # an exclusive holder refuses
+        t.release_all(w)
+        assert t.dump_key("k") == "k: unlocked"
+
+    def test_writer_waits_for_every_reader(self):
+        t = LatchTable()
+        a, b, w = object(), object(), object()
+        t.acquire_read(a, "k")
+        t.acquire_read(b, "k")
+        got = threading.Event()
+
+        def writer():
+            t.acquire_write(w, "k", timeout=5)
+            got.set()
+
+        th = threading.Thread(target=writer)
+        th.start()
+        deadline = time.monotonic() + 5
+        while t.queued_keys() != ["k"] and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert t.queued_keys() == ["k"]
+        t.release_all(a)
+        assert not got.wait(0.05)
+        t.release_all(b)
+        assert got.wait(5)
+        th.join(5)
+        assert t.held_keys(w) == {"k"} and t.queued_keys() == []
+        t.release_all(w)
+
+    def test_sole_reader_upgrades_in_place(self):
+        t = LatchTable()
+        a, b = object(), object()
+        t.acquire_read(a, "k")
+        t.acquire_write(a, "k", timeout=0)
+        assert t.held_by_other(b, "k")
+        assert t.held_keys(a) == {"k"}
+        t.release_all(a)
+        assert t.acquire_read(b, "k")
+        t.release_all(b)
+        assert t.dump_key("k") == "k: unlocked"
+
+    def test_upgrade_waits_for_the_other_readers(self):
+        t = LatchTable()
+        a, b = object(), object()
+        t.acquire_read(a, "k")
+        t.acquire_read(b, "k")
+        with pytest.raises(LockTimeout):
+            t.acquire_write(a, "k", timeout=0)
+        assert t.held_keys(a) == set()  # its share went with the attempt
+        t.release_all(b)
+        t.acquire_write(a, "k", timeout=0)
+        t.release_all(a)
+        assert t.dump_key("k") == "k: unlocked"
+
+
+    def test_stress_keeps_writers_exclusive(self):
+        # more threads than cores, a short switch interval: an exclusive
+        # holder must never share its key, and nothing may leak
+        t = LatchTable()
+        keys = ["a", "b", "c"]
+        check = threading.Lock()
+        held = {k: [0, 0] for k in keys}  # key -> [readers, writers]
+        errors = []
+        stop = time.monotonic() + 0.5
+
+        def worker(seed):
+            rng = random.Random(seed)
+            while time.monotonic() < stop:
+                owner = object()
+                mine = []
+                for key in rng.sample(keys, rng.randint(1, 3)):
+                    write = rng.random() < 0.4
+                    if write:
+                        try:
+                            t.acquire_write(owner, key, timeout=0.001)
+                        except LockTimeout:
+                            continue
+                    elif not t.acquire_read(owner, key):
+                        continue
+                    with check:
+                        readers, writers = held[key]
+                        if writers or (write and readers):
+                            errors.append((key, readers, writers, write))
+                        held[key][1 if write else 0] += 1
+                    mine.append((key, write))
+                with check:
+                    for key, write in mine:
+                        held[key][1 if write else 0] -= 1
+                t.release_all(owner)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(10)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert t.queued_keys() == []
+        assert all(t.dump_key(k) == "%s: unlocked" % k for k in keys)
 
 
 class TestCommitEdges:

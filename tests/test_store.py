@@ -1,10 +1,13 @@
 """Versioned store behavior and the snapshot file format."""
 
+import os
 import struct
+import tracemalloc
 
 import pytest
 
-from lazykv import NotFound, SnapshotError, Store, VersionRegression
+from lazykv import (Cluster, DirectoryPartitionMap, HashPartitionMap,
+                    NotFound, SnapshotError, Store, VersionRegression)
 from lazykv.futexpr import TypeMismatch
 
 
@@ -148,3 +151,86 @@ class TestSnapshot:
             f.write(_record("k", 0, struct.pack("<q", 1), 0))
         with pytest.raises(SnapshotError):
             Store.load_snapshot(path)
+
+
+def _records(n):
+    """n records shaped like a TPC-C store: counters, and write-once order
+    rows whose payload lists ten lines; some counters at versions above 1."""
+    out = []
+    for i in range(n):
+        if i % 3:
+            lines = ",".join("%d:%d:%d" % (i % 2 + 1, (i + j) % 1000, j + 1)
+                             for j in range(10))
+            out.append(("w%d/d%d/order/%d" % (i % 2 + 1, i % 10, i),
+                        "items=" + lines, 1))
+        else:
+            out.append(("w%d/stock/%d" % (i % 2 + 1, i), i % 91 - 45,
+                        1 + i % 4))
+    out.append(("w1/flag", True, 3))
+    out.append(("w2/flag", False, 1))
+    return out
+
+
+def _fill(dep, records):
+    for key, value, version in records:
+        dep.store_for(key).restore_record(key, value, version)
+
+
+class TestPartitionedSnapshot:
+    PLACEMENTS = {
+        "hash": lambda: HashPartitionMap(2),
+        "directory": lambda: DirectoryPartitionMap(2, {"w1/": 0, "w2/": 1}),
+    }
+
+    @pytest.mark.parametrize("policy", sorted(PLACEMENTS))
+    def test_same_bytes_as_one_store(self, tmp_path, policy):
+        records = _records(3000)
+        cluster = Cluster(self.PLACEMENTS[policy]())
+        _fill(cluster, records)
+        assert all(p.store.items() for p in cluster.partitions)
+        single = Store()
+        for key, value, version in records:
+            single.restore_record(key, value, version)
+        one, parts = str(tmp_path / "one.bin"), str(tmp_path / "parts.bin")
+        single.save_snapshot(one)
+        cluster.save_snapshot(parts)
+        with open(one, "rb") as f1, open(parts, "rb") as f2:
+            assert f1.read() == f2.read()
+
+        back = Cluster(self.PLACEMENTS[policy]())
+        back.load_snapshot(parts)
+        for old, new in zip(cluster.partitions, back.partitions):
+            assert new.store.items() == old.store.items()
+        assert Store.load_snapshot(parts).items() == sorted(records)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = str(tmp_path / "snap.bin")
+        st = Store()
+        st.put("a", 1, 1)
+        st.save_snapshot(path)
+        with open(path, "rb") as f:
+            before = f.read()
+        st.restore_record("b", 2 ** 70, 1)  # an int no i64 can hold
+        with pytest.raises(struct.error):
+            st.save_snapshot(path)
+        with open(path, "rb") as f:
+            assert f.read() == before
+        assert os.listdir(str(tmp_path)) == ["snap.bin"]
+
+
+class TestSnapshotMemory:
+    def test_save_needs_memory_for_keys_not_the_file(self, tmp_path):
+        cluster = Cluster(HashPartitionMap(2))
+        _fill(cluster, _records(60000))
+        path = str(tmp_path / "snap.bin")
+        tracemalloc.start()
+        try:
+            cluster.save_snapshot(path)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the key order costs about ten bytes per record, a record on disk
+        # here about ninety
+        size = os.path.getsize(path)
+        assert size > 5000000
+        assert peak < 0.25 * size, (peak, size)
