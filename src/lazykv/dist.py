@@ -287,6 +287,9 @@ class Participant:
 
     def _prepare2(self, ctx: TxnContext, req: Prepare2Request) -> PrepareVote:
         locks = self._locks
+        # optimistic family: a key read here in round 1 is held shared;
+        # the only reader upgrades and one of several votes no, because
+        # round 1's read validation is not rerun
         for key, value in sorted(req.fw_writes):
             if self.family == "occ" or value is None:
                 locks.acquire_write(ctx, key, timeout=_PREPARE_DEADLINE)

@@ -70,7 +70,8 @@ class _Latch:
         self.users = 0      # every holder plus every waiter
 
     def waiting(self) -> int:
-        return self.users - max(1, len(self.readers))
+        """Acquirers still waiting; the caller holds the table mutex."""
+        return self.users - (len(self.readers) or self.lock.locked())
 
 
 class LatchTable:
@@ -79,12 +80,13 @@ class LatchTable:
     Each key in flight has one threading.Lock.  An exclusive acquirer that
     finds it taken blocks on that lock itself.  A shared (read) latch never
     waits: the first reader takes the lock, later readers join it while
-    nobody holds it exclusively, and the last reader to leave releases it.
+    nobody holds it exclusively or waits to, and the last reader to leave
+    releases it.
     An entry exists only while someone holds or awaits its key, so the
     table never outgrows the keys of the commits in progress.  Each owner's
     held keys are listed, so release_all frees them in one pass.
     Re-acquiring a key one already holds is a no-op; an exclusive request
-    from a reader upgrades its latch."""
+    from the only reader upgrades its latch."""
 
     def __init__(self):
         self._mutex = threading.Lock()
@@ -94,8 +96,10 @@ class LatchTable:
     def acquire_write(self, owner, key: str,
                       timeout: Optional[float] = None) -> None:
         """Latch key exclusively for owner, waiting at most timeout seconds
-        (forever when None); raises LockTimeout when the wait runs out.  A
-        reader that is not the only one gives up its share and waits."""
+        (forever when None); raises LockTimeout when the wait runs out.
+        The only reader upgrades in place.  A reader that is not the only
+        one raises LockTimeout at once: the others read the same version,
+        so if it waited for them, both could write over that version."""
         with self._mutex:
             latch = self._latches.get(key)
             if latch is None:
@@ -103,14 +107,11 @@ class LatchTable:
             elif latch.owner is owner:
                 return
             elif owner in latch.readers:
-                if len(latch.readers) == 1:  # the only reader: upgrade
-                    latch.readers = []
-                    latch.owner = owner
-                    return
-                # wait for the other readers like any exclusive acquirer
-                latch.readers.remove(owner)
-                self._held[owner].remove(key)
-                latch.users -= 1
+                if len(latch.readers) > 1:
+                    raise LockTimeout(key)
+                latch.readers = []
+                latch.owner = owner
+                return
             latch.users += 1
             if latch.lock.acquire(False):
                 latch.owner = owner
@@ -128,13 +129,16 @@ class LatchTable:
 
     def acquire_read(self, owner, key: str) -> bool:
         """Latch key shared for owner, without waiting; False when another
-        transaction holds it exclusively or is taking it so."""
+        transaction holds it exclusively or waits to, so that a stream of
+        overlapping readers cannot starve a writer."""
         with self._mutex:
             latch = self._latches.get(key)
             if latch is None:
                 latch = self._latches[key] = _Latch()
             elif latch.owner is owner or owner in latch.readers:
                 return True
+            elif latch.waiting():
+                return False
             if not latch.readers and not latch.lock.acquire(False):
                 return False
             latch.readers.append(owner)

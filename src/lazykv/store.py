@@ -224,16 +224,10 @@ class Store:
 
 
 def _stream(st: Store) -> Iterator[Tuple[str, Value, int]]:
-    """st's records in key order; the caller holds st's mutex."""
+    """st's records in key order; the caller holds st's mutex.  (A
+    function, so that each store's generator binds its own store.)"""
     values, versions = st._values, st._versions
     return ((k, values[k], versions.get(k, 1)) for k in sorted(values))
-
-
-def _records(stores: List[Store]) -> Iterator[Tuple[str, Value, int]]:
-    """Every record of stores holding disjoint keys, in key order.  The
-    caller holds every store's mutex while it iterates."""
-    streams = [_stream(st) for st in stores]
-    return streams[0] if len(streams) == 1 else heapq.merge(*streams)
 
 
 def write_snapshot(path: str, stores: List[Store]) -> None:
@@ -250,7 +244,7 @@ def write_snapshot(path: str, stores: List[Store]) -> None:
         with contextlib.ExitStack() as mutexes, open(tmp, "wb") as f:
             for st in stores:
                 mutexes.enter_context(st._mutex)
-            for key, value, version in _records(stores):
+            for key, value, version in heapq.merge(*map(_stream, stores)):
                 kb = key.encode("utf-8")
                 buf += _U32.pack(len(kb))
                 buf += kb

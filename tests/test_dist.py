@@ -1,6 +1,7 @@
 """Partitioned deployment: routing policies, the ride-along test for future
 write-keys, and exact prepare-round / message accounting."""
 
+import threading
 import zlib
 
 import pytest
@@ -274,6 +275,51 @@ class TestDistributedValidation:
         assert outcomes["t1"].committed, outcomes["t1"].reason
         assert c.values_dict() == {k: 0, x: 1, y: 1}
         assert c.partitions[0]._locks.dump_key(k) == "%s: unlocked" % k
+
+    def test_shared_read_then_round2_write_key_loses_no_update(self):
+        # T and R each read k (partition 0) and add one to it through a
+        # future write-key that resolves in round 2 (each pointer lives on
+        # partition 1).  Both reach round 2 holding k shared; at most one
+        # may commit, and k counts every commit.
+        pm = HashPartitionMap(2)
+        c = Cluster(pm)
+        k = find_key(pm, 0, "k")
+        ptrs = [find_key(pm, 1, "p"), find_key(pm, 1, "q")]
+        c.load(k, 0)
+        for ptr in ptrs:
+            c.load(ptr, k)
+        txns = []
+        for ptr in ptrs:
+            ctx = c.begin()
+            seen = c.classic_read(ctx, k)
+            ctx.write_future_key(read_future(ptr, ctx), const(seen + 1))
+            txns.append(ctx)
+        p0 = c.partitions[0]
+        prepare2 = p0.prepare2
+        both_read = threading.Barrier(2, timeout=5)
+
+        def hooked(ctx, req):
+            both_read.wait()
+            return prepare2(ctx, req)
+
+        p0.prepare2 = hooked
+        outcomes = [None, None]
+
+        def run(i):
+            outcomes[i] = c.lsd_commit(txns[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(10)
+        assert not any(th.is_alive() for th in threads)
+        assert all(out.prepare_rounds == 2 for out in outcomes
+                   if out.committed)
+        committed = [out for out in outcomes if out.committed]
+        assert len(committed) <= 1
+        assert c.values_dict()[k] == len(committed)
+        assert p0._locks.dump_key(k) == "%s: unlocked" % k
 
     def test_condition_checked_against_merged_reads(self):
         pm = HashPartitionMap(2)

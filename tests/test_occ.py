@@ -321,17 +321,77 @@ class TestLatchTable:
         t.release_all(b)
         assert t.dump_key("k") == "k: unlocked"
 
-    def test_upgrade_waits_for_the_other_readers(self):
+    def test_upgrade_refused_while_others_read(self):
+        # both read the same version: waiting for b would let a write over
+        # it after b did (a lost update), so a fails at once, keeping its
+        # share, even with time to wait
         t = LatchTable()
         a, b = object(), object()
         t.acquire_read(a, "k")
         t.acquire_read(b, "k")
         with pytest.raises(LockTimeout):
-            t.acquire_write(a, "k", timeout=0)
-        assert t.held_keys(a) == set()  # its share went with the attempt
+            t.acquire_write(a, "k", timeout=5)
+        assert t.held_keys(a) == {"k"} and t.queued_keys() == []
         t.release_all(b)
         t.acquire_write(a, "k", timeout=0)
+        assert t.held_by_other(b, "k")
         t.release_all(a)
+        assert t.dump_key("k") == "k: unlocked"
+
+    def test_queued_writer_refuses_new_readers(self):
+        t = LatchTable()
+        a, b, w = object(), object(), object()
+        t.acquire_read(a, "k")
+        got = threading.Event()
+
+        def writer():
+            t.acquire_write(w, "k", timeout=5)
+            got.set()
+
+        th = threading.Thread(target=writer)
+        th.start()
+        deadline = time.monotonic() + 5
+        while t.queued_keys() != ["k"] and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert not t.acquire_read(b, "k")
+        t.release_all(a)
+        assert got.wait(5)
+        th.join(5)
+        assert not t.acquire_read(b, "k")
+        t.release_all(w)
+        assert t.acquire_read(b, "k")
+        t.release_all(b)
+        assert t.dump_key("k") == "k: unlocked"
+
+    def test_writer_gets_in_while_readers_keep_arriving(self):
+        # overlapping readers would hold the key shared without a break;
+        # a waiting writer must still get it, and promptly
+        t = LatchTable()
+        stop = threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                owner = object()
+                if t.acquire_read(owner, "k"):
+                    time.sleep(0.002)
+                    t.release_all(owner)
+                else:
+                    time.sleep(0.0005)
+
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        for th in readers:
+            th.start()
+        try:
+            time.sleep(0.02)
+            w = object()
+            for _ in range(20):
+                t.acquire_write(w, "k", timeout=1)
+                t.release_all(w)
+        finally:
+            stop.set()
+            for th in readers:
+                th.join(5)
+        assert not any(th.is_alive() for th in readers)
         assert t.dump_key("k") == "k: unlocked"
 
 
