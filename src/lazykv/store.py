@@ -24,8 +24,9 @@ with tag 0 = int (payload i64), 1 = str (payload u32 len + utf-8 bytes),
 Saving streams: it sorts each store's keys (one reference per record),
 merges the key streams and packs the records into one buffer that is
 flushed every _FLUSH_BYTES, so its extra memory grows with the number of
-keys, not with the file.  Restoring parses the file in one pass and puts
-each record straight into its store's maps.
+keys, not with the file.  Restoring reads the file through a buffer of
+_READ_BYTES and puts each record straight into its store's maps, so its
+extra memory is one buffer, not the file.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ _INT_TAIL = struct.Struct("<BqQ")
 _BOOL_TAIL = struct.Struct("<BBQ")
 _STR_HEAD = struct.Struct("<BI")
 _FLUSH_BYTES = 1 << 16
+_READ_BYTES = 1 << 16
 
 
 class Store:
@@ -127,8 +129,15 @@ class Store:
                     for k, v in sorted(self._values.items())]
 
     def values_dict(self) -> Dict[str, Value]:
+        out: Dict[str, Value] = {}
+        self.values_into(out)
+        return out
+
+    def values_into(self, out: Dict[str, Value]) -> None:
+        """Add every key's current value to out under the mutex, with no
+        intermediate copy of this store's map."""
         with self._mutex:
-            return dict(self._values)
+            out.update(self._values)
 
     def restore_record(self, key: str, value: Value, version: int) -> None:
         """Install a record at an explicit version, bypassing the successor
@@ -148,7 +157,7 @@ class Store:
     def load_snapshot(cls, path: str,
                       into: Optional[Callable[[str], "Store"]] = None
                       ) -> Optional["Store"]:
-        """Parse a snapshot file in one pass.
+        """Parse a snapshot file, reading it _READ_BYTES at a time.
 
         Without `into` every record goes into a fresh store, which is
         returned.  With it, each record is installed straight into the
@@ -156,67 +165,90 @@ class Store:
         and None is returned.  Each destination's mutex is taken when its
         first record arrives and held until the end.  Like restore_record,
         installing bypasses the successor check, so it is valid only before
-        the stores serve transactions.  Raises SnapshotError on truncated
-        input, an unknown value tag, a version below 1, or bytes that are
-        not UTF-8; the records before the bad one stay installed."""
-        with open(path, "rb") as f:
-            data = f.read()
+        the stores serve transactions.
+
+        The bytes held are the unparsed tail of one read plus the next
+        read: a record that runs past them is parsed again from its first
+        byte once more bytes are in, and a record longer than the buffer
+        makes the next read as long as what it already holds.  Raises
+        SnapshotError, naming the bad record's file offset, on a record
+        the end of the file cuts short, an unknown value tag, a version
+        below 1, or bytes that are not UTF-8; the records before the bad
+        one stay installed."""
         fresh = None
         if into is None:
             fresh = cls()
             into = lambda _key: fresh
         u32, i64, u64 = _U32.unpack_from, _I64.unpack_from, _U64.unpack_from
         held: Dict["Store", Tuple[Dict[str, Value], Dict[str, int]]] = {}
-        n = len(data)
-        pos = start = 0
+        data = b""
+        base = start = 0  # file offset of data[0]; first unparsed byte
         try:
-            while pos < n:
-                start = pos
-                (klen,) = u32(data, pos)
-                pos += 4
-                if pos + klen > n:
-                    raise SnapshotError("truncated snapshot at byte %d" % start)
-                key = data[pos:pos + klen].decode("utf-8")
-                pos += klen
-                tag = data[pos]
-                pos += 1
-                if tag == 0:
-                    (value,) = i64(data, pos)
-                    pos += 8
-                elif tag == 1:
-                    (vlen,) = u32(data, pos)
-                    pos += 4
-                    if pos + vlen > n:
-                        raise SnapshotError(
-                            "truncated snapshot at byte %d" % start)
-                    value = data[pos:pos + vlen].decode("utf-8")
-                    pos += vlen
-                elif tag == 2:
-                    value = data[pos] != 0
-                    pos += 1
-                else:
-                    raise SnapshotError("unknown value tag %d at byte %d"
-                                        % (tag, start))
-                (version,) = u64(data, pos)
-                pos += 8
-                if version < 1:
-                    raise SnapshotError("record for %r has version %d"
-                                        % (key, version))
-                dest = into(key)
-                maps = held.get(dest)
-                if maps is None:
-                    dest._mutex.acquire()
-                    maps = held[dest] = (dest._values, dest._versions)
-                values, versions = maps
-                values[key] = value
-                if version > 1:
-                    versions[key] = version
-                elif key in versions:
-                    del versions[key]
-        except (struct.error, IndexError):
-            raise SnapshotError("truncated snapshot at byte %d" % start) from None
+            with open(path, "rb") as f:
+                while True:
+                    more = f.read(max(_READ_BYTES, len(data) - start))
+                    if not more:
+                        break
+                    data = data[start:] + more
+                    base += start
+                    n = len(data)
+                    pos = 0
+                    try:
+                        while pos < n:
+                            start = pos
+                            (klen,) = u32(data, pos)
+                            pos += 4
+                            if pos + klen > n:
+                                break
+                            key = data[pos:pos + klen].decode("utf-8")
+                            pos += klen
+                            tag = data[pos]
+                            pos += 1
+                            if tag == 0:
+                                (value,) = i64(data, pos)
+                                pos += 8
+                            elif tag == 1:
+                                (vlen,) = u32(data, pos)
+                                pos += 4
+                                if pos + vlen > n:
+                                    break
+                                value = data[pos:pos + vlen].decode("utf-8")
+                                pos += vlen
+                            elif tag == 2:
+                                value = data[pos] != 0
+                                pos += 1
+                            else:
+                                raise SnapshotError(
+                                    "unknown value tag %d at byte %d"
+                                    % (tag, base + start))
+                            (version,) = u64(data, pos)
+                            pos += 8
+                            if version < 1:
+                                raise SnapshotError(
+                                    "record for %r has version %d"
+                                    % (key, version))
+                            dest = into(key)
+                            maps = held.get(dest)
+                            if maps is None:
+                                dest._mutex.acquire()
+                                maps = held[dest] = (dest._values,
+                                                     dest._versions)
+                            values, versions = maps
+                            values[key] = value
+                            if version > 1:
+                                versions[key] = version
+                            elif key in versions:
+                                del versions[key]
+                        else:
+                            start = n
+                    except (struct.error, IndexError):
+                        pass  # the record at start needs more bytes
+            if start < len(data):
+                raise SnapshotError("truncated snapshot at byte %d"
+                                    % (base + start))
         except UnicodeDecodeError:
-            raise SnapshotError("record at byte %d is not UTF-8" % start) from None
+            raise SnapshotError("record at byte %d is not UTF-8"
+                                % (base + start)) from None
         finally:
             for dest in held:
                 dest._mutex.release()

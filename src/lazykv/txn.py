@@ -169,9 +169,12 @@ class Deployment:
         self.store_for(key).put_all({key: value})
 
     def values_dict(self) -> Dict[str, Value]:
+        """Every key's current value, in a new dict the caller owns.  Each
+        store's map is merged straight into it under that store's mutex,
+        with no per-store copy."""
         out: Dict[str, Value] = {}
         for st in self.stores:
-            out.update(st.values_dict())
+            st.values_into(out)
         return out
 
     def load_snapshot(self, path: str) -> None:

@@ -16,7 +16,11 @@ from lazykv.bench.oracle import (CommittedTxn, GuardedWriteStep, ReadStep,
                                  _execute_txn, _slots_of, slot_handle)
 from lazykv.bench.runner import (ProtocolApi, RunConfig, build_api,
                                  family_of, make_engine, run, validate)
-from lazykv.bench.workloads import make_workload
+from lazykv.bench import runner
+from lazykv.bench.workloads import ClientAbort, Hotkey, make_workload
+from lazykv.locks import Wounded
+from lazykv.store import NotFound
+from lazykv.txn import ABORTED, COMMITTED
 from lazykv import futexpr
 
 OPS_CFG = dict(protocol="occ-lsd", workload="hotkey", clients=4, ops=5, p=100)
@@ -157,6 +161,58 @@ class TestRunnerAccounting:
         latches.release_all(waiter)
         assert text == "b:\n  latched by stamp %d\n  waiting: 1" % holder.stamp
         assert api.dump_queued() == "(no key has a waiter)"
+
+    def test_give_up_drops_the_plan_and_aborts_retry_it(self, monkeypatch):
+        made = []
+
+        def make(cfg):
+            made.append(_FlakyHotkey(cfg))
+            return made[-1]
+
+        monkeypatch.setattr(runner, "make_workload", make)
+        r = run(RunConfig(protocol="2pl-lsd", workload="hotkey", clients=1,
+                          ops=2, p=100))
+        assert (r.commits, r.client_aborts, r.aborts,
+                r.attempts) == (2, 1, 2, 4)
+        assert r.aborts_by_reason == {"wounded": 1, "not_found": 1}
+        assert r.tallies == {"hot": 2} and r.invariant_failures == []
+        (c1, a1), (c2, a2), (c3, a3), (c4, a4), (c5, a5) = made[0].attempts
+        assert [a1, a2, a3, a4, a5] == [1, 1, 2, 3, 1]
+        assert [c.status for c in (c1, c2, c3, c4, c5)] == [
+            ABORTED, ABORTED, ABORTED, COMMITTED, COMMITTED]
+        # a retry keeps its wound-wait age; a new plan draws a new one
+        assert c2.stamp == c3.stamp == c4.stamp
+        assert len({c1.stamp, c2.stamp, c5.stamp}) == 3
+
+    def test_retries_stop_when_the_clock_runs_out(self, monkeypatch):
+        monkeypatch.setattr(runner, "make_workload", _LostHotkey)
+        r = run(RunConfig(protocol="occ-lsd", workload="hotkey", clients=1,
+                          duration=0.05))
+        assert r.commits == 0 and r.aborts > 0
+        assert r.aborts_by_reason == {"not_found": r.aborts}
+
+
+class _FlakyHotkey(Hotkey):
+    """Hotkey whose first three bodies raise, in order, a client give-up,
+    a wound and a missing key; it records each attempt's context."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.raises = [ClientAbort(), Wounded(0), NotFound("gone")]
+        self.attempts = []
+
+    def body(self, api, ctx, plan, attempt):
+        self.attempts.append((ctx, attempt))
+        if self.raises:
+            raise self.raises.pop(0)
+        super().body(api, ctx, plan, attempt)
+
+
+class _LostHotkey(Hotkey):
+    """Hotkey whose every body misses its key."""
+
+    def body(self, api, ctx, plan, attempt):
+        raise NotFound(plan["key"])
 
 
 class TestSnapshotFlow:

@@ -316,6 +316,77 @@ class TestWoundWait:
         assert b.wounded and not a.wounded
         m.release_all(a)
 
+    def test_upgrade_ahead_of_an_older_waiter_wounds_itself(self):
+        # Y holds a condition that the writer's pending value preserves,
+        # and O, older than Y, queues for a read behind that writer.  Y's
+        # upgrade to W parks at the queue front, ahead of O, so O would
+        # wait for the younger Y: Y wounds itself instead.
+        m = mgr()
+        writer, old, young = LockOwner(1), LockOwner(5), LockOwner(9)
+        m.acquire_read_condition(young, "k", COND, True)
+        m.acquire_write_value(writer, "k", SAT)
+        outcome = []
+        t = threading.Thread(target=lambda: outcome.append(
+            _acquire_outcome(m, old, "r", "k")))
+        t.start()
+        _await(lambda: "waiting: stamp 5" in m.dump_key("k"))
+        with pytest.raises(Wounded):
+            m.acquire_write(young, "k")
+        assert young.wounded
+        assert not old.wounded and not writer.wounded
+        assert "waiting: stamp 9" not in m.dump_key("k")
+        m.release_all(young)
+        m.release_all(writer)
+        t.join(2.0)
+        assert outcome == ["granted"]
+        m.release_all(old)
+
+    def test_grant_walk_drops_a_front_entry_wounded_elsewhere(self):
+        # A wound through another manager only sets the victim's flag, so
+        # its request parked here stays at the queue front.  When the key
+        # frees, the grant walk drops that entry, wakes its owner with
+        # Wounded and grants the entry behind it; the victim's 60 s poll
+        # plays no part.
+        m1, m2 = LockManager(poll_interval=60.0), mgr()
+        old, blocker, victim, behind = (LockOwner(1), LockOwner(3),
+                                        LockOwner(7), LockOwner(8))
+        m1.acquire_write(blocker, "a")
+        m2.acquire_write(victim, "b")
+        outcome = {}
+
+        def request(m, owner, key):
+            outcome[owner.stamp] = _acquire_outcome(m, owner, "w", key)
+
+        tv = threading.Thread(target=request, args=(m1, victim, "a"))
+        tv.start()
+        _await(lambda: "waiting: stamp 7" in m1.dump_key("a"))
+        tb = threading.Thread(target=request, args=(m1, behind, "a"))
+        tb.start()
+        _await(lambda: "waiting: stamp 8" in m1.dump_key("a"))
+        to = threading.Thread(target=request, args=(m2, old, "b"))
+        to.start()  # wounds the victim through m2
+        _await(lambda: victim.wounded)
+        assert m1.dump_key("a").splitlines()[2:] == [
+            "  waiting: stamp 7 for w", "  waiting: stamp 8 for w"]
+        t0 = time.monotonic()
+        m1.release_all(blocker)
+        tv.join(2.0)
+        tb.join(2.0)
+        assert time.monotonic() - t0 < 1.0
+        assert outcome == {7: "wounded", 8: "granted"}
+        m2.release_all(victim)
+        to.join(2.0)
+        assert outcome[1] == "granted"
+        m1.release_all(behind)
+        m2.release_all(old)
+
+
+def _await(predicate, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
 
 def _acquire_outcome(m, owner, mode, key):
     try:

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import sys
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from lazykv import (Cluster, DirectoryPartitionMap, HashPartitionMap,
                     NotFound, SnapshotError, Store, VersionRegression)
 from lazykv.futexpr import TypeMismatch
+from lazykv.store import _READ_BYTES
 
 
 class TestVersioning:
@@ -152,6 +154,47 @@ class TestSnapshot:
         with pytest.raises(SnapshotError):
             Store.load_snapshot(path)
 
+    def test_record_longer_than_the_read_buffer(self, tmp_path):
+        st = Store()
+        for i in range(100):
+            st.restore_record("a/%03d" % i, i, 1 + i % 3)
+        st.restore_record("m/long", "é" + "ab" * 100000, 2)
+        for i in range(100):
+            st.restore_record("z/%03d" % i, i % 2 == 0, 1)
+        path = str(tmp_path / "snap.bin")
+        st.save_snapshot(path)
+        with open(path, "rb") as f:
+            blob = f.read()
+        assert Store.load_snapshot(path).items() == st.items()
+
+        start = 100 * 26  # 26 bytes per "a/..." int record
+        end = start + 4 + 6 + 1 + 4 + 200002 + 8
+        assert end - start > _READ_BYTES
+        assert blob[start + 4:start + 10] == b"m/long"
+
+        def load(data, into=None):
+            cut = str(tmp_path / "cut.bin")
+            with open(cut, "wb") as f:
+                f.write(data)
+            return Store.load_snapshot(cut, into)
+
+        for cut in (start + 2, start + 7, start + 12, _READ_BYTES,
+                    2 * _READ_BYTES + 5, end - 1):
+            with pytest.raises(SnapshotError,
+                               match="truncated snapshot at byte %d$" % start):
+                load(blob[:cut])
+        # a cut on a record boundary past the first buffer is a whole file
+        assert load(blob[:end]).items() == st.items()[:101]
+        # errors past the first buffer name their offset in the file, and
+        # the records before them stay installed
+        bad = bytearray(blob)
+        bad[end + 4 + 5] = 7
+        dest = Store()
+        with pytest.raises(SnapshotError,
+                           match="unknown value tag 7 at byte %d$" % end):
+            load(bytes(bad), into=lambda _key: dest)
+        assert dest.items() == st.items()[:101]
+
 
 def _records(n):
     """n records shaped like a TPC-C store: counters, and write-once order
@@ -234,3 +277,47 @@ class TestSnapshotMemory:
         size = os.path.getsize(path)
         assert size > 5000000
         assert peak < 0.25 * size, (peak, size)
+
+    def test_restore_needs_one_buffer_not_the_file(self, tmp_path):
+        cluster = Cluster(HashPartitionMap(2))
+        _fill(cluster, _records(60000))
+        path = str(tmp_path / "snap.bin")
+        cluster.save_snapshot(path)
+        back = Cluster(HashPartitionMap(2))
+        tracemalloc.start()
+        try:
+            back.load_snapshot(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for old, new in zip(cluster.partitions, back.partitions):
+            assert new.store.items() == old.store.items()
+        # beyond the records it installs, a restore holds one read buffer
+        # and the unparsed tail of the last one; reading the whole file at
+        # once would cost its size
+        size = os.path.getsize(path)
+        assert size > 5000000
+        assert peak - held < 0.10 * size, (peak, held, size)
+
+
+class TestValuesDict:
+    def test_merges_partitions_without_copies(self):
+        cluster = Cluster(HashPartitionMap(2))
+        records = _records(60000)
+        _fill(cluster, records)
+        tracemalloc.start()
+        try:
+            out = cluster.values_dict()
+            _held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = sys.getsizeof(out)
+        assert out == {key: value for key, value, _version in records}
+        before = [p.store.items() for p in cluster.partitions]
+        out["w1/flag"] = False
+        del out[records[0][0]]
+        out["new"] = 1
+        assert [p.store.items() for p in cluster.partitions] == before
+        # the result's table and its last resize, not one copy per
+        # partition on top of it
+        assert peak < 1.75 * size, (peak, size)
