@@ -29,7 +29,7 @@ from .futexpr import (ArityError, Expr, FutureHandle, IntOverflow,
                       read_future, resolve, sub, to_sexpr, to_str)
 from .store import NotFound, SnapshotError, Store, VersionRegression
 from .locks import (ConditionEntry, LockManager, LockTimeout, LockUsageError,
-                    StampClock, WouldBlock, Wounded)
+                    StampClock, Wounded)
 from .txn import TxnContext, TxnInactive
 from .meter import MessageMeter
 from .commit import (CommitOutcome, CONDITION_INVALIDATED, NOT_FOUND,
@@ -51,7 +51,7 @@ __all__ = [
     "to_sexpr", "to_str",
     "NotFound", "SnapshotError", "Store", "VersionRegression",
     "ConditionEntry", "LockManager", "LockTimeout", "LockUsageError",
-    "StampClock", "WouldBlock", "Wounded",
+    "StampClock", "Wounded",
     "TxnContext", "TxnInactive",
     "MessageMeter",
     "CommitOutcome", "CONDITION_INVALIDATED", "NOT_FOUND", "PREPARE_TIMEOUT",

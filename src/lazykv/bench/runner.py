@@ -46,7 +46,6 @@ class RunConfig:
     policy: str = "directory"
     seed: int = 42
     inject_latency_us: int = 0
-    private_counters: Optional[bool] = None  # assert; None = only when speculating
     snapshot: Optional[str] = None       # load store state from this file first
     save_snapshot: Optional[str] = None  # write final state here
     dump_key: Optional[str] = None       # report lock state of this key

@@ -138,11 +138,8 @@ class Assert(Workload):
 
     def __init__(self, cfg):
         super().__init__(cfg)
-        if cfg.private_counters is None:
-            # speculation only pays when the guard is locally predictable
-            self.private = cfg.protocol == "occ-lsd+"
-        else:
-            self.private = cfg.private_counters
+        # speculation only pays when the guard is locally predictable
+        self.private = cfg.protocol == "occ-lsd+"
 
     def _key(self, client: int) -> str:
         return "c/%d" % client if self.private else HOT_KEY

@@ -40,11 +40,15 @@ Design rules:
     deadlocking on their read locks.  A function that cannot produce a
     value yet returns UNRESOLVABLE, which satisfies no condition.
   - Wound-wait: an older requester wounds younger conflicting holders and
-    then waits; a younger requester just waits.  Wounds are one-way flags
-    on the owner object, checked at every acquisition; a parked victim in
-    this manager is cancelled immediately, and every parked request
-    re-checks its owner's flag every few ms so wounds delivered through
-    another manager (other partitions) also land.
+    then waits; a younger requester just waits.  A wound sets the victim's
+    one-way flag and the Event of the request it is parked on, in whatever
+    manager (partition) that is; the owner publishes that Event as
+    owner.waiting while it waits.  The victim cleans up after itself:
+    under its own manager's mutex it leaves the queue, runs that key's
+    grant walk and raises Wounded.  Every acquisition checks the flag on
+    entry, and a parked request checks it before each wait, so a wound
+    that read owner.waiting before it was published still lands.  Wounded
+    queue entries are leaving, so no wound scan counts them.
   - Whenever a new holder is installed while an older waiter stays parked
     against it (possible via the upgrade bypass and FIFO grants), the new
     holder is wounded.  Queue positions are wait-for edges as well: a
@@ -92,12 +96,10 @@ class Wounded(Exception):
     """The requester was aborted by an older transaction."""
 
 
-class WouldBlock(Exception):
-    """Non-blocking probe: the request is not immediately grantable."""
-
-
 class LockTimeout(Exception):
-    """Blocking acquisition gave up at its deadline."""
+    """Acquisition gave up at its deadline.  timeout=0 gives up at once,
+    but only after the wounds that parking deals: an older requester
+    wounds as it would with any timeout."""
 
 
 class LockUsageError(RuntimeError):
@@ -119,27 +121,13 @@ class StampClock:
             return s
 
 
-class LockOwner:
-    """Minimal lock-holder identity: a stamp (smaller = older) and the
-    wound flag.  Transaction contexts satisfy this shape."""
-
-    __slots__ = ("stamp", "wounded")
-
-    def __init__(self, stamp: int):
-        self.stamp = stamp
-        self.wounded = False
-
-    def __repr__(self):
-        return "owner(stamp=%d%s)" % (self.stamp, ", wounded" if self.wounded else "")
-
-
 @dataclass
 class ConditionEntry:
     """A predicate over one key plus the result its owner observed."""
 
     cond: Expr
     expected: bool
-    owner: object  # anything with .stamp / .wounded
+    owner: object  # anything with .stamp / .wounded / .waiting
     handle: FutureHandle
 
 
@@ -186,14 +174,16 @@ def _single_handle(cond: Expr) -> FutureHandle:
     return next(iter(hs))
 
 
-# Mode pairs that can stall one another in the wait queue, judged statically
-# (value-dependent cells count as conflicting: wounding on a stale candidate
-# value is conservative, missing a wound could leave a cycle).
+# Requested mode -> modes of an entry ahead in the wait queue that can stall
+# it, judged statically (value-dependent cells count as conflicting: wounding
+# on a stale candidate value is conservative, missing a wound could leave a
+# cycle).  An R or R(p) entry ahead stalls an R(p) request behind a writer
+# whose value keeps the request's own predicate.
 _MODE_CONFLICT = {
     "r": ("w", "wv"),
     "w": ("r", "w", "wv", "rc"),
     "wv": ("r", "w", "wv", "rc"),
-    "rc": ("w", "wv"),
+    "rc": ("r", "w", "wv", "rc"),
 }
 
 
@@ -209,30 +199,26 @@ def _entry_satisfied(entry: ConditionEntry, value: Value) -> bool:
 
 
 class LockManager:
-    def __init__(self, poll_interval: float = 0.005):
+    def __init__(self):
         self._mutex = threading.Lock()
         self._keys: Dict[str, _KeyState] = {}
         self._held: Dict[int, Set[str]] = {}  # stamp -> keys with any hold
-        self._parked: Dict[int, _Request] = {}  # stamp -> its parked request
-        self._poll = poll_interval
 
     # -- public API --------------------------------------------------------
 
-    def acquire_read(self, txn, key: str, blocking: bool = True,
+    def acquire_read(self, txn, key: str,
                      timeout: Optional[float] = None) -> None:
-        self._acquire(txn, key, _Request(txn, "r"), blocking, timeout)
+        self._acquire(txn, key, _Request(txn, "r"), timeout)
 
-    def acquire_write(self, txn, key: str, blocking: bool = True,
+    def acquire_write(self, txn, key: str,
                       timeout: Optional[float] = None) -> None:
-        self._acquire(txn, key, _Request(txn, "w"), blocking, timeout)
+        self._acquire(txn, key, _Request(txn, "w"), timeout)
 
     def acquire_write_value(self, txn, key: str, value: Value,
-                            blocking: bool = True,
                             timeout: Optional[float] = None) -> None:
-        self._acquire(txn, key, _Request(txn, "wv", value=value), blocking, timeout)
+        self._acquire(txn, key, _Request(txn, "wv", value=value), timeout)
 
     def acquire_write_fn(self, txn, key: str, value_fn,
-                         blocking: bool = True,
                          timeout: Optional[float] = None) -> None:
         """Write-value lock whose candidate value is value_fn(), re-run under
         the manager mutex at every grant attempt.  For read-modify-write
@@ -243,7 +229,7 @@ class LockManager:
         value_fn must not raise and must not touch this manager; it returns
         a plain value or UNRESOLVABLE."""
         req = _Request(txn, "wv", value=UNRESOLVABLE, value_fn=value_fn)
-        self._acquire(txn, key, req, blocking, timeout)
+        self._acquire(txn, key, req, timeout)
 
     def update_write_value(self, txn, key: str, value: Value) -> None:
         """Replace the pending value of a held write-value lock after late
@@ -268,11 +254,10 @@ class LockManager:
             self._grant_walk(st)
 
     def acquire_read_condition(self, txn, key: str, cond: Expr, expected: bool,
-                               blocking: bool = True,
                                timeout: Optional[float] = None) -> None:
         h = _single_handle(cond)
         req = _Request(txn, "rc", cond=cond, expected=expected, handle=h)
-        self._acquire(txn, key, req, blocking, timeout)
+        self._acquire(txn, key, req, timeout)
 
     def add_condition(self, txn, key: str, cond: Expr, expected: bool) -> None:
         """Install a condition under a held plain read lock (the is-true
@@ -485,27 +470,17 @@ class LockManager:
 
     def _wound(self, victim) -> None:
         victim.wounded = True
-        parked = self._parked.get(victim.stamp)
-        if parked is not None and parked.owner is victim:
-            self._unpark(parked)
-            self._settle(parked, WOUNDED)
+        waiting = victim.waiting  # the victim may be clearing it right now
+        if waiting is not None:
+            waiting.set()
 
     @staticmethod
     def _settle(req: _Request, outcome: str) -> None:
         req.outcome = outcome
-        if req.event is not None:
-            req.event.set()
-
-    def _unpark(self, req: _Request) -> None:
-        self._parked.pop(req.owner.stamp, None)
-        st = self._keys.get(req.key_name)
-        if st is not None and req in st.queue:
-            st.queue.remove(req)
+        req.event.set()
 
     def _wound_younger_blockers(self, st: _KeyState, req: _Request) -> None:
         self._refresh(req)
-        # the list is complete before any wound: wounding unparks the
-        # victim, which edits the queue
         for blocker in self._blockers(st, req):
             if blocker.stamp > req.owner.stamp:
                 self._wound(blocker)
@@ -517,27 +492,22 @@ class LockManager:
         older conflicting entry is behind it; otherwise a barrier edge
         could close a cycle no holder edge exposes."""
         me = st.queue.index(req)
-        victims = []
-        wound_me = False
         for i, e in enumerate(st.queue):
-            if e is req or e.owner is req.owner:
+            if e is req or e.owner.wounded:
                 continue
             if (i < me and e.owner.stamp > req.owner.stamp
                     and e.mode in _MODE_CONFLICT[req.mode]):
-                victims.append(e.owner)
+                self._wound(e.owner)
             elif (i > me and e.owner.stamp < req.owner.stamp
                     and req.mode in _MODE_CONFLICT[e.mode]):
-                wound_me = True
-        for v in victims:  # after the scan: wounding unparks, mutating the queue
-            self._wound(v)
-        if wound_me:
-            self._wound(req.owner)
+                self._wound(req.owner)
+                return
 
     def _wound_younger_holder_vs_waiters(self, st: _KeyState, holder) -> None:
         """New holder installed; wound it if an older parked waiter on this
         key conflicts with the new hold."""
         for waiter in st.queue:
-            if waiter.owner.stamp < holder.stamp:
+            if waiter.owner.stamp < holder.stamp and not waiter.owner.wounded:
                 self._refresh(waiter)
                 if any(b is holder for b in self._blockers(st, waiter)):
                     self._wound(holder)
@@ -548,9 +518,8 @@ class LockManager:
         incompatible one (FIFO fairness barrier)."""
         while st.queue:
             req = st.queue[0]
-            if req.owner.wounded:
+            if req.owner.wounded:  # leaving anyway: must not stall the rest
                 st.queue.pop(0)
-                self._parked.pop(req.owner.stamp, None)
                 self._settle(req, WOUNDED)
                 continue
             self._refresh(req)
@@ -559,13 +528,12 @@ class LockManager:
                     self._wound_younger_blockers(st, req)
                 return
             st.queue.pop(0)
-            self._parked.pop(req.owner.stamp, None)
             added = self._install(st, req, req.key_name)
             self._settle(req, GRANTED)
             if added:
                 self._wound_younger_holder_vs_waiters(st, req.owner)
 
-    def _acquire(self, txn, key: str, req: _Request, blocking: bool,
+    def _acquire(self, txn, key: str, req: _Request,
                  timeout: Optional[float]) -> None:
         req.key_name = key
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -580,9 +548,7 @@ class LockManager:
                 if self._install(st, req, key):
                     self._wound_younger_holder_vs_waiters(st, txn)
                 return
-            if not blocking:
-                raise WouldBlock(key)
-            if txn.stamp in self._parked:
+            if txn.waiting is not None:
                 raise LockUsageError(
                     "owner %d already has a parked request" % txn.stamp)
             if req.upgrade:
@@ -592,38 +558,38 @@ class LockManager:
                 st.queue.insert(pos, req)
             else:
                 st.queue.append(req)
-            self._parked[txn.stamp] = req
+            # published under the mutex; from here on a wound from any
+            # manager sets this event, and so does every outcome change
+            req.event = txn.waiting = threading.Event()
             self._wound_younger_blockers(st, req)
             self._wound_queue_conflicts(st, req)
             # the wounds may have freed the key already
             self._grant_walk(st)
-            if req.outcome == GRANTED:
-                return
-            if req.outcome == WOUNDED:
-                raise Wounded(txn.stamp)
-            # still parked: every later outcome change happens under the
-            # mutex and sets this event
-            req.event = threading.Event()
+        try:
+            # check first, wait second: a wound that read txn.waiting before
+            # it was published has already set the flag
+            while not self._wait_over(txn, st, req, deadline):
+                req.event.wait(None if deadline is None
+                               else max(0.0, deadline - time.monotonic()))
+        finally:
+            txn.waiting = None
 
-        while True:
-            remaining = self._poll
-            if deadline is not None:
-                remaining = min(remaining, max(0.0, deadline - time.monotonic()))
-            req.event.wait(remaining)
-            with self._mutex:
-                if req.outcome == GRANTED:
-                    return
-                if req.outcome == WOUNDED:
-                    raise Wounded(txn.stamp)
-                if txn.wounded:
-                    # wound delivered through another manager
-                    self._unpark(req)
-                    req.outcome = WOUNDED
-                    raise Wounded(txn.stamp)
-                if deadline is not None and time.monotonic() >= deadline:
-                    self._unpark(req)
-                    st = self._keys.get(key)
-                    if st is not None:
-                        self._grant_walk(st)
-                        self._gc(key, st)
-                    raise LockTimeout(key)
+    def _wait_over(self, txn, st: _KeyState, req: _Request,
+                   deadline: Optional[float]) -> bool:
+        """True once req is granted.  A wounded or timed-out request leaves
+        the queue itself, runs the key's grant walk for the requests behind
+        it, and raises."""
+        with self._mutex:
+            if req.outcome == GRANTED:
+                return True
+            if req.outcome == WOUNDED:  # dropped by a grant walk
+                raise Wounded(txn.stamp)
+            timed_out = deadline is not None and time.monotonic() >= deadline
+            if not (txn.wounded or timed_out):
+                return False
+            st.queue.remove(req)
+            self._grant_walk(st)
+            self._gc(req.key_name, st)
+            if txn.wounded:
+                raise Wounded(txn.stamp)
+            raise LockTimeout(req.key_name)

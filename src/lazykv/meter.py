@@ -38,12 +38,6 @@ class MessageMeter:
             self._counts[kind] += messages
         time.sleep(max(self.latency_us * 1e-6, self.MIN_YIELD_S))
 
-    def count(self, kind: str, messages: int = 1) -> None:
-        """Account without yielding (per-message bookkeeping inside an
-        already-paid round trip)."""
-        with self._mutex:
-            self._counts[kind] += messages
-
     def snapshot(self) -> Dict[str, int]:
         with self._mutex:
             return dict(self._counts)

@@ -45,14 +45,15 @@ class TxnInactive(RuntimeError):
 
 
 class TxnContext:
-    __slots__ = ("txn_id", "stamp", "wounded", "status", "rset", "wset",
-                 "frset", "fwset", "cset", "engine", "_next_handle", "_next_seq",
-                 "wseq", "fwseq", "eager_values")
+    __slots__ = ("txn_id", "stamp", "wounded", "waiting", "status", "rset",
+                 "wset", "frset", "fwset", "cset", "engine", "_next_handle",
+                 "_next_seq", "wseq", "fwseq", "eager_values")
 
     def __init__(self, txn_id: int, stamp: int, engine=None):
         self.txn_id = txn_id
         self.stamp = stamp          # wound-wait age, smaller = older
         self.wounded = False        # one-way flag set by lock managers
+        self.waiting = None         # Event of the lock request parked on
         self.status = ACTIVE
         self.rset: Dict[str, int] = {}              # key -> version (0 = keys only)
         self.wset: Dict[str, Expr] = {}             # key -> value expression

@@ -13,10 +13,10 @@ import time
 
 import pytest
 
-from lazykv import (CONDITION_INVALIDATED, LockManager, OccEngine, Store,
-                    WouldBlock, const, ge, gt, read, resolve, sub)
+from lazykv import (CONDITION_INVALIDATED, LockManager, LockTimeout,
+                    OccEngine, Store, TxnContext, const, ge, gt, read,
+                    resolve, sub)
 from lazykv.futexpr import FutureHandle, UnboundHandle
-from lazykv.locks import LockOwner
 from lazykv.bench.oracle import (CommittedTxn, GuardedWriteStep, ReadStep,
                                  ScheduleLog, WriteStep,
                                  check_serial_equivalence, random_schedule,
@@ -62,15 +62,15 @@ def _hold(m, owner, mode, value=None):
 def _grantable(m, owner, mode, value=None):
     try:
         if mode == "r":
-            m.acquire_read(owner, "k", blocking=False)
+            m.acquire_read(owner, "k", timeout=0)
         elif mode == "w":
-            m.acquire_write(owner, "k", blocking=False)
+            m.acquire_write(owner, "k", timeout=0)
         elif mode == "wv":
-            m.acquire_write_value(owner, "k", value, blocking=False)
+            m.acquire_write_value(owner, "k", value, timeout=0)
         else:
             m.acquire_read_condition(owner, "k", POSITIVE, True,
-                                     blocking=False)
-    except WouldBlock:
+                                     timeout=0)
+    except LockTimeout:
         return False
     return True
 
@@ -111,8 +111,8 @@ class TestLockMatrix:
         t0 = time.monotonic()
         for req, rv, held, hv, expected in self.CELLS:
             m = LockManager()
-            _hold(m, LockOwner(1), held, hv)
-            got = _grantable(m, LockOwner(2), req, rv)
+            _hold(m, TxnContext(1, 1), held, hv)
+            got = _grantable(m, TxnContext(2, 2), req, rv)
             assert got is expected, (req, rv, held, hv)
         assert time.monotonic() - t0 < 1.0
 

@@ -46,9 +46,7 @@ class TestWorkloadPlans:
     def test_assert_counters_private_only_when_speculating(self):
         spec = make_workload(RunConfig(workload="assert", protocol="occ-lsd+"))
         shared = make_workload(RunConfig(workload="assert", protocol="occ-lsd"))
-        forced = make_workload(RunConfig(workload="assert", protocol="occ-lsd",
-                                         private_counters=True))
-        assert spec.private and not shared.private and forced.private
+        assert spec.private and not shared.private
 
     def test_unknown_workload(self):
         with pytest.raises(ValueError):

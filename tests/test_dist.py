@@ -368,6 +368,43 @@ class TestDistributedValidation:
         assert c.lsd_commit(ctx).committed
 
 
+class TestFutureKeyRead:
+    """lsd_read_future_key on an optimistic Cluster, with the pointer on
+    partition 0 and the key it names on partition 1."""
+
+    def start(self):
+        pm = HashPartitionMap(2)
+        c = Cluster(pm)
+        ptr, target = find_key(pm, 0, "ptr"), find_key(pm, 1, "t")
+        c.load(ptr, int(target[1:]))
+        c.load(target, 42)
+        ctx = c.begin()
+        fut = read_future(ptr, ctx)
+        c.meter.reset()
+        value = c.lsd_read_future_key(ctx, concat(const("t"), to_str(fut)))
+        return c, ctx, ptr, target, value
+
+    def test_reads_through_a_key_on_another_partition(self):
+        c, ctx, ptr, target, value = self.start()
+        assert c.meter.snapshot() == {"read_key": 2}  # one per partition
+        assert ctx.rset == {ptr: 1, target: 1}
+        ctx.write(ptr, add(value, const(1)))
+        out = c.lsd_commit(ctx)
+        assert out.committed
+        assert out.rvalues[next(iter(value.handles))] == 42
+        assert c.store_for(ptr).get(ptr) == (43, 2)
+
+    def test_write_to_the_resolved_key_makes_the_read_stale(self):
+        c, ctx, ptr, target, value = self.start()
+        racer = c.begin()
+        racer.write(target, const(5))
+        assert c.lsd_commit(racer).committed
+        ctx.write(ptr, add(value, const(1)))
+        out = c.lsd_commit(ctx)
+        assert not out.committed and out.reason == STALE_READ
+        assert c.store_for(ptr).get(ptr)[0] == int(target[1:])
+
+
 class TestLockingFamilyCluster:
     def pm(self):
         return DirectoryPartitionMap(2, {"a:": 0, "b:": 1})

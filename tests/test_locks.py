@@ -1,6 +1,7 @@
 """Lock-manager conformance: the compatibility matrix, wound-wait, and the
 grant-time value recomputation used by read-modify-write commits."""
 
+import sys
 import threading
 import time
 
@@ -8,8 +9,8 @@ import pytest
 
 from lazykv.futexpr import FutureHandle, const, gt, read
 from lazykv.locks import (UNRESOLVABLE, LockManager, LockTimeout,
-                          LockUsageError, WouldBlock, Wounded)
-from lazykv.locks import LockOwner
+                          LockUsageError, Wounded)
+from lazykv.txn import TxnContext
 
 H = FutureHandle(1, "k")
 COND = gt(read(H), const(0))  # predicate: value > 0
@@ -34,20 +35,22 @@ def hold(m, owner, mode, value=None, expected=True):
 
 
 def probe(m, owner, mode, value=None, expected=True) -> bool:
-    """True iff the request is immediately grantable."""
+    """True iff the request is immediately grantable.  The prober must be
+    younger than every holder: an older requester wounds before it gives
+    up."""
     try:
         if mode == "r":
-            m.acquire_read(owner, "k", blocking=False)
+            m.acquire_read(owner, "k", timeout=0)
         elif mode == "w":
-            m.acquire_write(owner, "k", blocking=False)
+            m.acquire_write(owner, "k", timeout=0)
         elif mode == "wv":
-            m.acquire_write_value(owner, "k", value, blocking=False)
+            m.acquire_write_value(owner, "k", value, timeout=0)
         elif mode == "rc":
             m.acquire_read_condition(owner, "k", COND, expected,
-                                     blocking=False)
+                                     timeout=0)
         else:
             raise AssertionError(mode)
-    except WouldBlock:
+    except LockTimeout:
         return False
     m.release_all(owner)
     return True
@@ -88,7 +91,7 @@ class TestCompatibilityMatrix:
     @pytest.mark.parametrize("req,rv,held,hv,ok", CELLS)
     def test_cell(self, req, rv, held, hv, ok):
         m = mgr()
-        holder, requester = LockOwner(1), LockOwner(2)
+        holder, requester = TxnContext(1, 1), TxnContext(2, 2)
         hold(m, holder, held, value=hv)
         assert probe(m, requester, req, value=rv) is ok
 
@@ -96,11 +99,11 @@ class TestCompatibilityMatrix:
         for mode, value in [("r", None), ("w", None), ("wv", SAT),
                             ("rc", None)]:
             m = mgr()
-            assert probe(m, LockOwner(1), mode, value=value)
+            assert probe(m, TxnContext(1, 1), mode, value=value)
 
     def test_two_readers_then_writer(self):
         m = mgr()
-        a, b, c = LockOwner(1), LockOwner(2), LockOwner(3)
+        a, b, c = TxnContext(1, 1), TxnContext(2, 2), TxnContext(3, 3)
         m.acquire_read(a, "k")
         m.acquire_read(b, "k")
         assert not probe(m, c, "w")
@@ -113,13 +116,13 @@ class TestCompatibilityMatrix:
 class TestConditionLifecycle:
     def test_add_requires_read_lock(self):
         m = mgr()
-        a = LockOwner(1)
+        a = TxnContext(1, 1)
         with pytest.raises(LockUsageError):
             m.add_condition(a, "k", COND, True)
 
     def test_downgrade_keeps_condition(self):
         m = mgr()
-        a, b = LockOwner(1), LockOwner(2)
+        a, b = TxnContext(1, 1), TxnContext(2, 2)
         m.acquire_read(a, "k")
         m.add_condition(a, "k", COND, True)
         m.release_read(a, "k")  # downgrade: only the condition holds now
@@ -130,7 +133,7 @@ class TestConditionLifecycle:
 
     def test_rem_condition_unblocks(self):
         m = mgr()
-        a, b = LockOwner(1), LockOwner(2)
+        a, b = TxnContext(1, 1), TxnContext(2, 2)
         m.acquire_read(a, "k")
         m.add_condition(a, "k", COND, True)
         m.release_read(a, "k")
@@ -148,7 +151,7 @@ class TestConditionLifecycle:
 
     def test_multi_key_condition_rejected(self):
         m = mgr()
-        a = LockOwner(1)
+        a = TxnContext(1, 1)
         m.acquire_read(a, "k")
         two = gt(read(H), read(FutureHandle(2, "j")))
         with pytest.raises(LockUsageError):
@@ -157,7 +160,7 @@ class TestConditionLifecycle:
     def test_condition_expected_false(self):
         # the holder observed the predicate as false; writes must keep it so
         m = mgr()
-        a, b = LockOwner(1), LockOwner(2)
+        a, b = TxnContext(1, 1), TxnContext(2, 2)
         m.acquire_read(a, "k")
         m.add_condition(a, "k", COND, False)
         m.release_read(a, "k")
@@ -168,26 +171,27 @@ class TestConditionLifecycle:
 class TestUpgrades:
     def test_read_to_write_upgrade(self):
         m = mgr()
-        a, b = LockOwner(1), LockOwner(2)
+        a, b = TxnContext(2, 2), TxnContext(1, 1)  # the prober is youngest
         m.acquire_read(a, "k")
         m.acquire_read(b, "k")
-        with pytest.raises(WouldBlock):
-            m.acquire_write(a, "k", blocking=False)
+        with pytest.raises(LockTimeout):
+            m.acquire_write(a, "k", timeout=0)
+        assert not b.wounded
         m.release_all(b)
-        m.acquire_write(a, "k", blocking=False)
+        m.acquire_write(a, "k", timeout=0)
         # the read hold was consumed by the upgrade
         assert m.dump_key("k").splitlines()[1].strip().startswith("writer")
 
     def test_upgrade_bypasses_queue(self):
         m = mgr()
-        a, b = LockOwner(1), LockOwner(2)
+        a, b = TxnContext(1, 1), TxnContext(2, 2)
         m.acquire_read(a, "k")
         blocked = []
         t = threading.Thread(
             target=lambda: (m.acquire_write(b, "k"), blocked.append("b")))
         t.start()
         time.sleep(0.05)  # b parks behind a's read
-        m.acquire_write_value(a, "k", 9, blocking=False)  # jumps the queue
+        m.acquire_write_value(a, "k", 9, timeout=0)  # jumps the queue
         m.release_all(a)
         t.join(2.0)
         assert blocked == ["b"]
@@ -197,7 +201,7 @@ class TestUpgrades:
 class TestWoundWait:
     def test_older_wounds_younger_holder(self):
         m = mgr()
-        young, old = LockOwner(9), LockOwner(1)
+        young, old = TxnContext(9, 9), TxnContext(1, 1)
         m.acquire_write(young, "k")
         granted = []
         t = threading.Thread(
@@ -213,7 +217,7 @@ class TestWoundWait:
 
     def test_younger_waits_without_wounding(self):
         m = mgr()
-        old, young = LockOwner(1), LockOwner(9)
+        old, young = TxnContext(1, 1), TxnContext(9, 9)
         m.acquire_write(old, "k")
         with pytest.raises(LockTimeout):
             m.acquire_write(young, "k", timeout=0.15)
@@ -221,7 +225,7 @@ class TestWoundWait:
 
     def test_wounded_requester_rejected_at_entry(self):
         m = mgr()
-        a = LockOwner(5)
+        a = TxnContext(5, 5)
         a.wounded = True
         with pytest.raises(Wounded):
             m.acquire_read(a, "k")
@@ -231,7 +235,7 @@ class TestWoundWait:
         # holder and the younger queued waiter ahead of it (queue edges are
         # wait-for edges; leaving Y parked could close a cycle elsewhere)
         m = mgr()
-        medium, young, old = LockOwner(5), LockOwner(9), LockOwner(1)
+        medium, young, old = (TxnContext(s, s) for s in (5, 9, 1))
         m.acquire_write(medium, "k")
         outcome = []
         ty = threading.Thread(
@@ -251,11 +255,11 @@ class TestWoundWait:
         assert outcome[-1] == "granted"
         m.release_all(old)
 
-    def test_cross_manager_wound_lands_via_poll(self):
+    def test_cross_manager_wound_wakes_the_parked_victim(self):
         m1, m2 = mgr(), mgr()
-        shared_clock_victim = LockOwner(7)
-        blocker = LockOwner(3)
-        old = LockOwner(1)
+        shared_clock_victim = TxnContext(7, 7)
+        blocker = TxnContext(3, 3)
+        old = TxnContext(1, 1)
         m1.acquire_write(blocker, "a")  # victim will park behind this
         m2.acquire_write(shared_clock_victim, "b")
         res = []
@@ -284,7 +288,7 @@ class TestWoundWait:
         # wounds B, A waits on B's condition while B's own write queues
         # behind A, and both time out.
         m = mgr()
-        c, a, b = LockOwner(1), LockOwner(2), LockOwner(3)
+        c, a, b = TxnContext(1, 1), TxnContext(2, 2), TxnContext(3, 3)
         m.acquire_read_condition(a, "k", COND, True)
         m.acquire_read_condition(b, "k", COND, True)
         m.acquire_write_value(c, "k", 1)
@@ -322,7 +326,7 @@ class TestWoundWait:
         # upgrade to W parks at the queue front, ahead of O, so O would
         # wait for the younger Y: Y wounds itself instead.
         m = mgr()
-        writer, old, young = LockOwner(1), LockOwner(5), LockOwner(9)
+        writer, old, young = (TxnContext(s, s) for s in (1, 5, 9))
         m.acquire_read_condition(young, "k", COND, True)
         m.acquire_write_value(writer, "k", SAT)
         outcome = []
@@ -341,43 +345,85 @@ class TestWoundWait:
         assert outcome == ["granted"]
         m.release_all(old)
 
-    def test_grant_walk_drops_a_front_entry_wounded_elsewhere(self):
-        # A wound through another manager only sets the victim's flag, so
-        # its request parked here stays at the queue front.  When the key
-        # frees, the grant walk drops that entry, wakes its owner with
-        # Wounded and grants the entry behind it; the victim's 60 s poll
-        # plays no part.
-        m1, m2 = LockManager(poll_interval=60.0), mgr()
-        old, blocker, victim, behind = (LockOwner(1), LockOwner(3),
-                                        LockOwner(7), LockOwner(8))
-        m1.acquire_write(blocker, "a")
+    def test_condition_request_wounds_a_younger_read_ahead(self):
+        # W holds W(SAT), which keeps O's predicate, and the younger R
+        # parks for a plain read behind it.  O's R(p) is compatible with W
+        # but would wait behind R, so on a younger R: R is wounded and O is
+        # granted at once.  Leaving R queued wedges O whenever W waits for
+        # O elsewhere.
+        m = mgr()
+        writer, young, old = (TxnContext(s, s) for s in (5, 9, 1))
+        m.acquire_write_value(writer, "k", SAT)
+        outcome = []
+        t = threading.Thread(target=lambda: outcome.append(
+            _acquire_outcome(m, young, "r", "k", timeout=2.0)))
+        t.start()
+        _await(lambda: "waiting: stamp 9" in m.dump_key("k"))
+        m.acquire_read_condition(old, "k", COND, True, timeout=0)
+        t.join(2.0)
+        assert outcome == ["wounded"]
+        assert not writer.wounded
+        m.release_all(old)
+        m.release_all(writer)
+
+    def test_grant_walk_drops_a_wounded_front_entry(self):
+        # H reads k and the younger Y parks for W behind it.  The older O
+        # asks for R: it parks behind Y and wounds it (queue edge), so when
+        # O's own grant walk runs, the wounded Y is at the queue front.
+        # The walk must drop Y and grant O, which is compatible with H;
+        # O's timeout=0 shows that this happened in O's own call.
+        m = mgr()
+        holder, young, old = (TxnContext(s, s) for s in (5, 9, 1))
+        m.acquire_read(holder, "k")
+        outcome = []
+        t = threading.Thread(target=lambda: outcome.append(
+            _acquire_outcome(m, young, "w", "k", timeout=2.0)))
+        t.start()
+        _await(lambda: "waiting: stamp 9" in m.dump_key("k"))
+        m.acquire_read(old, "k", timeout=0)
+        t.join(2.0)
+        assert outcome == ["wounded"]
+        assert young.wounded and not holder.wounded
+        assert "waiting" not in m.dump_key("k")
+        m.release_all(holder)
+        m.release_all(old)
+
+    @pytest.mark.parametrize("managers", [1, 2])
+    def test_wounded_waiter_leaving_grants_the_entry_behind(self, managers):
+        # H reads a; V parks for W on a, and B parks for R behind V.  An
+        # older O wounds V through b, which V holds (in m2 when there are
+        # two managers).  V's leaving must run a's grant walk: B is
+        # compatible with H and must not stay parked.
+        m1 = mgr()
+        m2 = m1 if managers == 1 else mgr()
+        holder, old, victim, behind = (TxnContext(s, s) for s in (5, 1, 7, 8))
+        m1.acquire_read(holder, "a")
         m2.acquire_write(victim, "b")
         outcome = {}
 
-        def request(m, owner, key):
-            outcome[owner.stamp] = _acquire_outcome(m, owner, "w", key)
+        def request(m, owner, mode, key):
+            outcome[owner.stamp] = _acquire_outcome(m, owner, mode, key,
+                                                    timeout=2.0)
 
-        tv = threading.Thread(target=request, args=(m1, victim, "a"))
+        tv = threading.Thread(target=request, args=(m1, victim, "w", "a"))
         tv.start()
         _await(lambda: "waiting: stamp 7" in m1.dump_key("a"))
-        tb = threading.Thread(target=request, args=(m1, behind, "a"))
+        tb = threading.Thread(target=request, args=(m1, behind, "r", "a"))
         tb.start()
         _await(lambda: "waiting: stamp 8" in m1.dump_key("a"))
-        to = threading.Thread(target=request, args=(m2, old, "b"))
-        to.start()  # wounds the victim through m2
-        _await(lambda: victim.wounded)
-        assert m1.dump_key("a").splitlines()[2:] == [
-            "  waiting: stamp 7 for w", "  waiting: stamp 8 for w"]
-        t0 = time.monotonic()
-        m1.release_all(blocker)
+        to = threading.Thread(target=request, args=(m2, old, "w", "b"))
+        to.start()  # wounds the victim through b
         tv.join(2.0)
-        tb.join(2.0)
-        assert time.monotonic() - t0 < 1.0
-        assert outcome == {7: "wounded", 8: "granted"}
-        m2.release_all(victim)
-        to.join(2.0)
+        try:
+            _await(lambda: 8 in outcome, timeout=1.0)
+            assert outcome == {7: "wounded", 8: "granted"}
+        finally:
+            m2.release_all(victim)  # as the engines do on Wounded
+            to.join(2.0)
+            tb.join(2.0)
         assert outcome[1] == "granted"
-        m1.release_all(behind)
+        for owner in (holder, behind):
+            m1.release_all(owner)
         m2.release_all(old)
 
 
@@ -388,52 +434,54 @@ def _await(predicate, timeout=2.0):
         time.sleep(0.001)
 
 
-def _acquire_outcome(m, owner, mode, key):
+def _acquire_outcome(m, owner, mode, key, timeout=None):
     try:
         if mode == "w":
-            m.acquire_write(owner, key)
+            m.acquire_write(owner, key, timeout=timeout)
         elif mode == "r":
-            m.acquire_read(owner, key)
+            m.acquire_read(owner, key, timeout=timeout)
         return "granted"
     except Wounded:
         return "wounded"
+    except LockTimeout:
+        return "timeout"
 
 
 class TestWriteFn:
     def test_candidate_recomputed_per_attempt(self):
         m = mgr()
-        cond_holder, writer = LockOwner(9), LockOwner(5)
+        cond_holder, writer = TxnContext(5, 5), TxnContext(9, 9)
         m.acquire_read_condition(cond_holder, "k", COND, True)
         cell = {"v": UNSAT}
-        with pytest.raises(WouldBlock):
-            m.acquire_write_fn(writer, "k", lambda: cell["v"], blocking=False)
+        with pytest.raises(LockTimeout):
+            m.acquire_write_fn(writer, "k", lambda: cell["v"], timeout=0)
         cell["v"] = SAT  # same request shape, fresh candidate
-        m.acquire_write_fn(writer, "k", lambda: cell["v"], blocking=False)
+        m.acquire_write_fn(writer, "k", lambda: cell["v"], timeout=0)
         m.release_all(writer)
         m.release_all(cond_holder)
 
     def test_unresolvable_blocks_conditions_only(self):
         m = mgr()
-        a, b = LockOwner(9), LockOwner(5)
-        m.acquire_write_fn(b, "k", lambda: UNRESOLVABLE, blocking=False)
+        a, b = TxnContext(5, 5), TxnContext(9, 9)
+        m.acquire_write_fn(b, "k", lambda: UNRESOLVABLE, timeout=0)
         assert "unlocked" not in m.dump_key("k")
         m.release_all(b)
         m.acquire_read_condition(a, "k", COND, True)
-        with pytest.raises(WouldBlock):
-            m.acquire_write_fn(b, "k", lambda: UNRESOLVABLE, blocking=False)
+        with pytest.raises(LockTimeout):
+            m.acquire_write_fn(b, "k", lambda: UNRESOLVABLE, timeout=0)
         m.release_all(a)
 
     def test_pending_value_visible_to_probes(self):
         m = mgr()
-        w, rc = LockOwner(1), LockOwner(2)
+        w, rc = TxnContext(1, 1), TxnContext(2, 2)
         m.acquire_write_fn(w, "k", lambda: SAT)
-        m.acquire_read_condition(rc, "k", COND, True, blocking=False)
+        m.acquire_read_condition(rc, "k", COND, True, timeout=0)
         m.release_all(rc)
         m.release_all(w)
 
     def test_update_write_value_wounds_younger_violated(self):
         m = mgr()
-        w, rc = LockOwner(1), LockOwner(9)
+        w, rc = TxnContext(1, 1), TxnContext(9, 9)
         m.acquire_read_condition(rc, "k", COND, True)
         m.acquire_write_value(w, "k", SAT)  # compatible: value preserves
         m.update_write_value(w, "k", UNSAT)
@@ -441,7 +489,7 @@ class TestWriteFn:
 
     def test_update_write_value_loses_to_older(self):
         m = mgr()
-        w, rc = LockOwner(9), LockOwner(1)
+        w, rc = TxnContext(9, 9), TxnContext(1, 1)
         m.acquire_read_condition(rc, "k", COND, True)
         m.acquire_write_value(w, "k", SAT)
         with pytest.raises(Wounded):
@@ -451,7 +499,7 @@ class TestWriteFn:
     def test_update_requires_the_lock(self):
         m = mgr()
         with pytest.raises(LockUsageError):
-            m.update_write_value(LockOwner(1), "k", 3)
+            m.update_write_value(TxnContext(1, 1), "k", 3)
 
 
 class TestDiagnostics:
@@ -460,7 +508,7 @@ class TestDiagnostics:
 
     def test_dump_lists_holds_and_queue(self):
         m = mgr()
-        a, b, c = LockOwner(1), LockOwner(2), LockOwner(3)
+        a, b, c = TxnContext(1, 1), TxnContext(2, 2), TxnContext(3, 3)
         m.acquire_read(a, "k")
         m.acquire_read(b, "k")
         m.add_condition(b, "k", COND, True)
@@ -477,7 +525,7 @@ class TestDiagnostics:
 
     def test_held_keys(self):
         m = mgr()
-        a = LockOwner(1)
+        a = TxnContext(1, 1)
         m.acquire_read(a, "x")
         m.acquire_write(a, "y")
         assert m.held_keys(a) == {"x", "y"}
@@ -486,10 +534,13 @@ class TestDiagnostics:
 
 
 class TestNoDeadlockStress:
-    def test_random_mixed_traffic_terminates(self):
+    @pytest.mark.parametrize("managers", [1, 2])
+    def test_random_mixed_traffic_terminates(self, managers):
+        # with two managers every wound on one key's owner may have to
+        # reach a request parked in the other manager
         import random as _random
-        m = mgr()
-        keys = ["a", "b", "c"]
+        ms = [mgr() for _ in range(managers)]
+        keys = [(m, k) for m in ms for k in ("a", "b", "c")]
         stop = time.monotonic() + 1.5
         failures = []
 
@@ -498,28 +549,49 @@ class TestNoDeadlockStress:
             stamp = seed  # stride keeps stamps unique across threads
             while time.monotonic() < stop:
                 stamp += 8
-                me = LockOwner(stamp)
+                me = TxnContext(stamp, stamp)
                 try:
-                    for key in rng.sample(keys, rng.randint(1, 3)):
-                        if rng.random() < 0.5:
-                            m.acquire_read(me, key)
-                        elif rng.random() < 0.5:
-                            m.acquire_write(me, key)
+                    for m, key in rng.sample(keys, rng.randint(1, 3)):
+                        timeout = rng.choice([None, None, 0.05, 0])
+                        r = rng.random()
+                        if r < 0.3:
+                            m.acquire_read(me, key, timeout=timeout)
+                        elif r < 0.5:
+                            m.acquire_write(me, key, timeout=timeout)
+                        elif r < 0.7:
+                            m.acquire_write_value(me, key, rng.randint(0, 5),
+                                                  timeout=timeout)
+                        elif r < 0.85:
+                            v = rng.randint(0, 5)
+                            m.acquire_write_fn(me, key, lambda v=v: v,
+                                               timeout=timeout)
                         else:
-                            m.acquire_write_value(me, key, rng.randint(0, 5))
-                except Wounded:
+                            m.acquire_read_condition(me, key, COND, True,
+                                                     timeout=timeout)
+                except (Wounded, LockTimeout):
                     pass
                 except Exception as e:  # noqa: BLE001 - fail the test visibly
                     failures.append(repr(e))
                     return
                 finally:
-                    m.release_all(me)
+                    for m in ms:
+                        m.release_all(me)
+                    if me.waiting is not None:
+                        failures.append("stamp %d still waiting" % stamp)
 
-        threads = [threading.Thread(target=client, args=(s,))
+        threads = [threading.Thread(target=client, args=(s,), daemon=True)
                    for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
         assert not failures
         assert not any(t.is_alive() for t in threads), "lock traffic wedged"
+        # every request that gave up left its queue, every hold was released
+        assert [m.queued_keys() for m in ms] == [[]] * managers
+        assert all(not m._keys for m in ms)
